@@ -43,7 +43,7 @@ SCALE_FACTOR = 10
 
 #: Minimum elements/sec speedup of the tuned hot path over the legacy
 #: (pre-tuning) stream path on the 10x-keys spill workload.  Measured
-#: headroom on the reference machine is ~1.86x; the gate leaves noise
+#: headroom on the reference machine is ~2.1-2.2x; the gate leaves noise
 #: margin below that but must never fall to parity.
 MIN_SPEEDUP = 1.5
 
@@ -205,10 +205,6 @@ def test_throughput_gate(gate_metrics):
     gate_metrics.gauge("stream.legacy_elements_per_sec").set(
         round(legacy_eps, 1))
     gate_metrics.gauge("stream.tuned_speedup").set(round(speedup, 2))
-    gate_metrics.gauge("stream.intern_hits").set(
-        tuned_result.stats.intern_hits)
-    gate_metrics.gauge("stream.intern_misses").set(
-        tuned_result.stats.intern_misses)
 
 
 def test_stream_with_budget(benchmark):

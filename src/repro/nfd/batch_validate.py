@@ -855,8 +855,8 @@ class ValidatorEngine:
         """:meth:`_plan_bindings` materialized as a list.
 
         Identical bindings in identical order, without generator
-        suspension per binding — the streaming validator's batched
-        emitter folds whole binding lists into its group tables, so the
+        suspension per binding — the streaming validator's consume
+        loop folds whole binding lists into its group tables, so the
         per-binding resume/yield cost of the generator form is pure
         overhead there.
         """

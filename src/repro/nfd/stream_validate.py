@@ -53,26 +53,17 @@ byte-identical witnesses.
 Hot-path tuning
 ---------------
 
-:class:`StreamTuning` names the three optimizations of the streaming
-hot path, all on by default and all witness-preserving (the
-differential suite in
+Every root-anchored plan folds into the dict aggregate table above, one
+binding at a time, in one consume loop: each element's branch rows are
+materialized once and every NFD sharing the base path folds its whole
+binding list in a pre-bound loop.  The engine is pure stdlib; no
+streaming path imports numpy.  :class:`StreamTuning` keeps only the
+two spill knobs a committed benchmark shows paying, both
+witness-preserving (the differential suite in
 ``tests/properties/test_stream_tuning_differential.py`` holds them to
 byte-identical witnesses and group summaries):
 
-* **interning** — an :class:`~repro.values.canonical.InternPool` caches
-  the canonical encoding of every atom/value seen, and keys are
-  assembled into one reused scratch buffer instead of a fresh
-  ``bytearray`` per key;
-* **batch** — binding emission is batched per relation: branch rows are
-  materialized once per element and every NFD sharing the base path
-  folds its whole binding list in one pre-bound loop, instead of
-  resuming a generator per binding;
-* **backend** — root-anchored NFDs whose LHS/RHS leaf paths are all
-  atomic can keep their group state *columnar*: bindings append interned
-  value ids to flat rows, and grouping/first/clash are computed in bulk
-  with numpy at spill/finalize time (``backend="numpy"`` requires
-  numpy; ``"auto"`` uses it when importable; ineligible plans — nested
-  anchors, non-atomic leaves — always fall back to the dict backend);
+* **spill_chunk** — aggregates spilled per pickle frame (above);
 * **spill_codec** — ``"plain"`` freezes aggregates to scalar/tuple
   trees (:func:`~repro.values.value.freeze_value`) before pickling and
   thaws them on read, skipping the per-node ``__reduce__`` dispatch and
@@ -80,8 +71,8 @@ byte-identical witnesses and group summaries):
   ``"value"`` pickles the Value objects directly (the pre-tuning
   format).
 
-``StreamTuning.legacy()`` switches all of it off and reproduces the
-pre-tuning per-element path; the throughput gate in
+``StreamTuning.legacy()`` switches both off (one aggregate per frame,
+Value pickles); the throughput gate in
 ``benchmarks/bench_stream_validate.py`` measures the two against each
 other in elements/sec.
 
@@ -118,12 +109,10 @@ import time
 from itertools import chain
 from typing import Any, Iterable, Iterator, Mapping
 
-from ..errors import InstanceError, PathError, ValueError_
-from ..paths.typing import type_at
-from ..types.base import BaseType
+from ..errors import InstanceError, ValueError_
 from ..types.schema import Schema
-from ..values.canonical import InternPool, canonical_key_bytes
-from ..values.value import SetValue, freeze_value, thaw_value
+from ..values.canonical import canonical_key_bytes
+from ..values.value import freeze_value, thaw_value
 from .batch_validate import ValidatorEngine, _Run
 from .nfd import NFD
 from .violations import Violation
@@ -137,29 +126,6 @@ __all__ = [
     "stream_validate",
     "shard_validate",
 ]
-
-
-_NUMPY: Any = None  # module cache: None = untried, False = unavailable
-
-
-def _load_numpy(required: bool):
-    """Import numpy lazily; it is a bench/test dependency, not a hard
-    runtime one, so ``backend="auto"`` degrades to the dict backend when
-    it is absent and only an explicit ``backend="numpy"`` errors."""
-    global _NUMPY
-    if _NUMPY is None:
-        try:
-            import numpy
-            _NUMPY = numpy
-        except ImportError:
-            _NUMPY = False
-    if _NUMPY is False:
-        if required:
-            raise ValueError_(
-                'backend="numpy" requested but numpy is not importable; '
-                'use backend="dict" or "auto"')
-        return None
-    return _NUMPY
 
 
 class ResourceBudget:
@@ -204,29 +170,21 @@ class ResourceBudget:
 
 
 class StreamTuning:
-    """Hot-path switches of one streaming engine (see module docstring).
+    """Spill-path switches of one streaming engine (see module
+    docstring).
 
-    All combinations produce byte-identical witnesses and group
-    summaries; the switches only trade allocations and Python-level
-    dispatch for throughput.  ``StreamTuning()`` is the tuned default;
-    :meth:`legacy` reproduces the pre-tuning path and is the baseline
-    the throughput gate compares against.
+    Both combinations produce byte-identical witnesses and group
+    summaries; the switches only trade pickling overhead for
+    throughput.  ``StreamTuning()`` is the tuned default; :meth:`legacy`
+    reproduces the pre-tuning spill format and is the baseline the
+    throughput gate compares against.
     """
 
-    _BACKENDS = ("dict", "numpy", "auto")
     _CODECS = ("plain", "value")
 
-    __slots__ = ("interning", "batch", "backend", "spill_chunk",
-                 "spill_codec", "pool_entries")
+    __slots__ = ("spill_chunk", "spill_codec")
 
-    def __init__(self, interning: bool = True, batch: bool = True,
-                 backend: str = "auto", spill_chunk: int = 64,
-                 spill_codec: str = "plain",
-                 pool_entries: int = 1 << 16):
-        if backend not in self._BACKENDS:
-            raise ValueError_(
-                f"unknown stream backend {backend!r}; expected one of "
-                f"{', '.join(self._BACKENDS)}")
+    def __init__(self, spill_chunk: int = 64, spill_codec: str = "plain"):
         if spill_codec not in self._CODECS:
             raise ValueError_(
                 f"unknown spill codec {spill_codec!r}; expected one of "
@@ -234,35 +192,22 @@ class StreamTuning:
         if spill_chunk < 1:
             raise ValueError_(
                 f"spill_chunk must be >= 1, got {spill_chunk}")
-        if pool_entries < 1:
-            raise ValueError_(
-                f"pool_entries must be >= 1, got {pool_entries}")
-        self.interning = interning
-        self.batch = batch
-        self.backend = backend
         self.spill_chunk = spill_chunk
         self.spill_codec = spill_codec
-        self.pool_entries = pool_entries
 
     @classmethod
     def legacy(cls) -> "StreamTuning":
-        """The pre-tuning streaming path: per-element generator
-        dispatch, uncached key encoding, one pickle frame per spilled
-        aggregate pickled as Value objects, dict group tables."""
-        return cls(interning=False, batch=False, backend="dict",
-                   spill_chunk=1, spill_codec="value")
+        """The pre-tuning spill path: one pickle frame per spilled
+        aggregate, pickled as Value objects."""
+        return cls(spill_chunk=1, spill_codec="value")
 
     def __reduce__(self):
         # __slots__ without __dict__ defeats pickle's default protocol;
         # shard workers receive a tuning in their payload.
-        return (StreamTuning, (self.interning, self.batch, self.backend,
-                               self.spill_chunk, self.spill_codec,
-                               self.pool_entries))
+        return (StreamTuning, (self.spill_chunk, self.spill_codec))
 
     def __repr__(self) -> str:
-        return (f"StreamTuning(interning={self.interning}, "
-                f"batch={self.batch}, backend={self.backend!r}, "
-                f"spill_chunk={self.spill_chunk}, "
+        return (f"StreamTuning(spill_chunk={self.spill_chunk}, "
                 f"spill_codec={self.spill_codec!r})")
 
 
@@ -272,31 +217,27 @@ class StreamStats:
     * ``elements_seen`` — top-level elements consumed;
     * ``rows_emitted`` — ``(key, rhs)`` bindings folded into root group
       tables;
-    * ``peak_resident_rows`` — high-water mark of resident group-table
-      entries (``<= max_resident_rows`` whenever a budget is set; the
-      dict backend counts distinct resident aggregates, the columnar
-      backend counts buffered binding rows);
+    * ``peak_resident_rows`` — high-water mark of distinct resident
+      aggregates across the group tables (``<= max_resident_rows``
+      whenever a budget is set);
     * ``spills`` — budget-triggered spill events;
     * ``rows_spilled`` / ``runs_written`` / ``bytes_spilled`` — run-file
       volume;
     * ``runs_merged`` — run files fed into merge passes;
     * ``groups_merged`` — distinct antecedent keys produced by merges;
-    * ``intern_hits`` / ``intern_misses`` — canonical-encoding pool
-      probes (zero when interning is off);
     * ``wall_time`` — seconds spent consuming and merging.
     """
 
     __slots__ = ("elements_seen", "rows_emitted", "peak_resident_rows",
                  "spills", "rows_spilled", "runs_written",
                  "bytes_spilled", "runs_merged", "groups_merged",
-                 "intern_hits", "intern_misses", "wall_time")
+                 "wall_time")
 
     def __init__(self, elements_seen: int = 0, rows_emitted: int = 0,
                  peak_resident_rows: int = 0, spills: int = 0,
                  rows_spilled: int = 0, runs_written: int = 0,
                  bytes_spilled: int = 0, runs_merged: int = 0,
-                 groups_merged: int = 0, intern_hits: int = 0,
-                 intern_misses: int = 0, wall_time: float = 0.0):
+                 groups_merged: int = 0, wall_time: float = 0.0):
         self.elements_seen = elements_seen
         self.rows_emitted = rows_emitted
         self.peak_resident_rows = peak_resident_rows
@@ -306,8 +247,6 @@ class StreamStats:
         self.bytes_spilled = bytes_spilled
         self.runs_merged = runs_merged
         self.groups_merged = groups_merged
-        self.intern_hits = intern_hits
-        self.intern_misses = intern_misses
         self.wall_time = wall_time
 
     def as_dict(self) -> dict:
@@ -344,8 +283,6 @@ class StreamStats:
             f"bytes spilled: {self.bytes_spilled}",
             f"  runs merged: {self.runs_merged}  "
             f"groups merged: {self.groups_merged}",
-            f"  intern hits: {self.intern_hits}  "
-            f"intern misses: {self.intern_misses}",
             f"  stream wall time: {self.wall_time:.6f}s",
         ])
 
@@ -423,72 +360,15 @@ def _merge_agg(a: list, b: list) -> list:
     return [a[0], a[1], a[2], a[3], None, None, None]
 
 
-class _ColumnarBuffer:
-    """Append-only columnar binding rows for one eligible plan.
-
-    A row is ``[key_id_1 .. key_id_k, rhs_id, elem_id, seq]`` — key and
-    RHS values interned *by equality* (two ids are equal iff the values
-    are, which is what grouping and clash detection compare) and
-    elements interned *by identity* (the witness must carry the exact
-    element object the dict backend would, not merely an equal one).
-    Grouping, first-binding, and earliest-clash extraction happen in
-    bulk with numpy when the buffer is consolidated at spill or
-    finalize time.
-    """
-
-    __slots__ = ("arity", "rows", "_value_ids", "values",
-                 "_elem_ids", "elems")
-
-    def __init__(self, arity: int):
-        self.arity = arity
-        self.rows: list[list[int]] = []
-        self._value_ids: dict = {}
-        self.values: list = []
-        self._elem_ids: dict[int, int] = {}
-        self.elems: list = []
-
-    def append(self, key: tuple, rhs, element, seq: int) -> None:
-        value_ids = self._value_ids
-        values = self.values
-        row = []
-        for part in key:
-            part_id = value_ids.get(part)
-            if part_id is None:
-                part_id = value_ids[part] = len(values)
-                values.append(part)
-            row.append(part_id)
-        rhs_id = value_ids.get(rhs)
-        if rhs_id is None:
-            rhs_id = value_ids[rhs] = len(values)
-            values.append(rhs)
-        row.append(rhs_id)
-        elem_id = self._elem_ids.get(id(element))
-        if elem_id is None:
-            elem_id = self._elem_ids[id(element)] = len(self.elems)
-            self.elems.append(element)
-        row.append(elem_id)
-        row.append(seq)
-        self.rows.append(row)
-
-    def clear(self) -> None:
-        self.rows.clear()
-        self._value_ids.clear()
-        self.values.clear()
-        self._elem_ids.clear()
-        self.elems.clear()
-
-
 class _GroupTable:
     """One root-anchored NFD's group state: resident aggregates keyed by
-    canonical key bytes (dict backend) or buffered columnar binding rows
-    (numpy backend), plus the sorted runs spilled so far."""
+    canonical key bytes, plus the sorted runs spilled so far."""
 
-    __slots__ = ("plan", "table", "columnar", "runs")
+    __slots__ = ("plan", "table", "runs")
 
     def __init__(self, plan):
         self.plan = plan
         self.table: dict[bytes, list] = {}
-        self.columnar: _ColumnarBuffer | None = None
         self.runs: list[str] = []
 
 
@@ -670,11 +550,6 @@ class StreamValidator:
         self._spill_dir = spill_dir
         self._spill_root = spill_root
         self._own_spill_dir = False
-        self._pool = InternPool(self.tuning.pool_entries) \
-            if self.tuning.interning else None
-        self._scratch = bytearray()
-        self._synced_hits = 0
-        self._synced_misses = 0
         self._elem_store: _ElementStore | None = None
         self._read_handles: dict[str, Any] = {}
         self._foreign_stores: list[str] = []
@@ -701,14 +576,6 @@ class StreamValidator:
                 self._nested_bases.append(base)
                 for plan in node.anchor.plans:
                     self._plan_anchor_base[plan.index] = base
-        if self.tuning.backend in ("numpy", "auto") and _load_numpy(
-                required=self.tuning.backend == "numpy") is not None:
-            for relation, tables in self._root_tables.items():
-                element_type = schema.element_type(relation)
-                for table in tables:
-                    if _plan_is_atomic(element_type, table.plan):
-                        table.columnar = _ColumnarBuffer(
-                            len(table.plan.lhs_pos))
         self._nested_run = _Run(len(self.engine.sigma), first_only=False,
                                 mask=frozenset(nested_indices))
         self._seq = 0
@@ -730,35 +597,11 @@ class StreamValidator:
 
     def consume(self, relation: str, elements: Iterable) -> bool:
         """Feed top-level elements of *relation*; False when the budget
-        stopped consumption (the current result is a valid partial)."""
-        start = time.perf_counter()
-        try:
-            if self.tuning.batch:
-                return self._consume_batched(relation, elements)
-            for element in elements:
-                if self._exhausted is not None:
-                    return False
-                if (self._max_elements is not None
-                        and self._elements_seen >= self._max_elements):
-                    self._exhausted = "max_elements"
-                    return False
-                if (self._deadline_at is not None
-                        and time.monotonic() >= self._deadline_at):
-                    self._exhausted = "deadline"
-                    return False
-                self._emit_element(relation, element)
-                self._elements_seen += 1
-                self.stats.elements_seen += 1
-        finally:
-            self.stats.wall_time += time.perf_counter() - start
-        return self._exhausted is None
+        stopped consumption (the current result is a valid partial).
 
-    def _consume_batched(self, relation: str, elements: Iterable) -> bool:
-        """The tuned consume loop: per-relation dispatch state is bound
-        once, each element's branch rows are materialized once, and
-        every plan folds its whole binding list in one pass — identical
-        emission order (and hence identical witnesses) to the legacy
-        per-element path."""
+        Per-relation dispatch state is bound once, each element's
+        branch rows are materialized once, and every plan folds its
+        whole binding list into its aggregate table in one pass."""
         engine = self.engine
         stats = self.stats
         root = engine._relations.get(relation)
@@ -772,48 +615,33 @@ class StreamValidator:
         bindings_list = engine._plan_bindings_list
         walk = engine._walk_scope
         nested_run = self._nested_run
-        pool = self._pool
-        scratch = self._scratch
         shard = self._shard_index
         max_elements = self._max_elements
         deadline_at = self._deadline_at
         monotonic = time.monotonic
-        for element in elements:
-            if self._exhausted is not None:
-                return False
-            if (max_elements is not None
-                    and self._elements_seen >= max_elements):
-                self._exhausted = "max_elements"
-                return False
-            if deadline_at is not None and monotonic() >= deadline_at:
-                self._exhausted = "deadline"
-                return False
-            if anchor is not None:
-                undefined: set = set()
-                branch_rows = element_rows(anchor, element, undefined)
-                for table, plan, paths in plan_info:
-                    if undefined and not undefined.isdisjoint(paths):
-                        continue  # Definition 2.4: undefined paths
-                    bindings = bindings_list(plan, branch_rows)
-                    columnar = table.columnar
-                    if columnar is not None:
-                        seq = self._seq
-                        for key, rhs in bindings:
-                            seq += 1
-                            stats.rows_emitted += 1
-                            self._reserve_slot()
-                            columnar.append(key, rhs, element, seq)
-                        self._seq = seq
-                    else:
+        start = time.perf_counter()
+        try:
+            for element in elements:
+                if self._exhausted is not None:
+                    return False
+                if (max_elements is not None
+                        and self._elements_seen >= max_elements):
+                    self._exhausted = "max_elements"
+                    return False
+                if deadline_at is not None and monotonic() >= deadline_at:
+                    self._exhausted = "deadline"
+                    return False
+                if anchor is not None:
+                    undefined: set = set()
+                    branch_rows = element_rows(anchor, element, undefined)
+                    for table, plan, paths in plan_info:
+                        if undefined and not undefined.isdisjoint(paths):
+                            continue  # Definition 2.4: undefined paths
                         group = table.table
-                        for key, rhs in bindings:
+                        for key, rhs in bindings_list(plan, branch_rows):
                             self._seq += 1
                             stats.rows_emitted += 1
-                            if pool is not None:
-                                key_bytes = canonical_key_bytes(
-                                    key, pool=pool, scratch=scratch)
-                            else:
-                                key_bytes = canonical_key_bytes(key)
+                            key_bytes = canonical_key_bytes(key)
                             agg = group.get(key_bytes)
                             if agg is None:
                                 self._reserve_slot()
@@ -824,58 +652,18 @@ class StreamValidator:
                                 agg[4] = (shard, self._seq)
                                 agg[5] = rhs
                                 agg[6] = element
-            if has_nested:
-                # Nested anchors never relate bindings across top-level
-                # elements, so the batch walk over a one-element tuple —
-                # with the persistent run carrying base-set numbering
-                # across elements — reproduces the in-memory witnesses.
-                walk(root, (element,), nested_run)
-            self._elements_seen += 1
-            stats.elements_seen += 1
+                if has_nested:
+                    # Nested anchors never relate bindings across
+                    # top-level elements, so the batch walk over a
+                    # one-element tuple — with the persistent run carrying
+                    # base-set numbering across elements — reproduces the
+                    # in-memory witnesses.
+                    walk(root, (element,), nested_run)
+                self._elements_seen += 1
+                stats.elements_seen += 1
+        finally:
+            stats.wall_time += time.perf_counter() - start
         return self._exhausted is None
-
-    def _emit_element(self, relation: str, element) -> None:
-        engine = self.engine
-        root = engine._relations.get(relation)
-        if root is None:
-            return
-        anchor = root.anchor
-        if anchor is not None:
-            undefined: set = set()
-            branch_rows = engine._element_rows(anchor, element, undefined)
-            for table in self._root_tables[relation]:
-                plan = table.plan
-                if undefined and any(p in undefined for p in plan.paths):
-                    continue  # Definition 2.4: undefined => unconstrained
-                for key, rhs in engine._plan_bindings(plan, branch_rows):
-                    self._add_row(table, key, rhs, element)
-        if self._has_nested[relation]:
-            # Nested anchors never relate bindings across top-level
-            # elements, so the batch walk over a singleton set — with
-            # the persistent run carrying base-set numbering across
-            # elements — reproduces the in-memory witnesses directly.
-            engine._walk_scope(root, SetValue((element,)),
-                               self._nested_run)
-
-    def _add_row(self, table: _GroupTable, key: tuple, rhs,
-                 element) -> None:
-        self._seq += 1
-        seq = (self._shard_index, self._seq)
-        self.stats.rows_emitted += 1
-        if table.columnar is not None:
-            self._reserve_slot()
-            table.columnar.append(key, rhs, element, self._seq)
-            return
-        key_bytes = canonical_key_bytes(key)
-        agg = table.table.get(key_bytes)
-        if agg is None:
-            self._reserve_slot()
-            table.table[key_bytes] = [key, seq, rhs, element,
-                                      None, None, None]
-        elif agg[4] is None and rhs != agg[2]:
-            agg[4] = seq
-            agg[5] = rhs
-            agg[6] = element
 
     def _reserve_slot(self) -> None:
         """Account for one new resident group-table entry, spilling
@@ -913,8 +701,7 @@ class StreamValidator:
         spilled = False
         for tables in self._root_tables.values():
             for table in tables:
-                if table.table or (table.columnar is not None
-                                   and table.columnar.rows):
+                if table.table:
                     self._spill_table(table)
                     spilled = True
         if spilled:
@@ -925,88 +712,10 @@ class StreamValidator:
                 self._elem_store.end_event()
         self._resident = 0
 
-    def _encode_key(self, key: tuple) -> bytes:
-        if self._pool is not None:
-            return canonical_key_bytes(key, pool=self._pool,
-                                       scratch=self._scratch)
-        return canonical_key_bytes(key)
-
-    def _consolidate_columnar(self, table: _GroupTable) \
-            -> list[tuple[bytes, list]]:
-        """Group one columnar buffer into ``(key_bytes, aggregate)``
-        pairs sorted by key bytes, emptying the buffer.
-
-        Grouping sorts rows by interned key ids (equal ids iff equal
-        values) with the emission sequence least significant, so the
-        first row of each group is its earliest binding and the
-        earliest RHS mismatch within the group is the exact clash the
-        dict backend folds incrementally.
-        """
-        buf = table.columnar
-        rows = buf.rows
-        if not rows:
-            return []
-        np = _load_numpy(required=True)
-        k = buf.arity
-        arr = np.array(rows, dtype=np.int64)
-        total = len(rows)
-        sort_keys = [arr[:, k + 2]]
-        sort_keys.extend(arr[:, column] for column in range(k - 1, -1, -1))
-        order = np.lexsort(tuple(sort_keys))
-        srt = arr[order]
-        if total > 1:
-            change = np.any(srt[1:, :k] != srt[:-1, :k], axis=1)
-            starts = np.flatnonzero(np.concatenate(([True], change)))
-        else:
-            starts = np.zeros(1, dtype=np.int64)
-        ends = np.append(starts[1:], total)
-        rhs_col = srt[:, k]
-        first_rhs = np.repeat(rhs_col[starts], ends - starts)
-        mismatch = np.where(rhs_col != first_rhs,
-                            np.arange(total), total)
-        clash_at = np.minimum.reduceat(mismatch, starts)
-        values = buf.values
-        elems = buf.elems
-        shard = self._shard_index
-        out: list[tuple[bytes, list]] = []
-        for group in range(len(starts)):
-            first = srt[int(starts[group])]
-            key = tuple(values[int(first[column])] for column in range(k))
-            agg = [key, (shard, int(first[k + 2])),
-                   values[int(first[k])], elems[int(first[k + 1])],
-                   None, None, None]
-            clash = int(clash_at[group])
-            if clash < int(ends[group]):
-                row = srt[clash]
-                agg[4] = (shard, int(row[k + 2]))
-                agg[5] = values[int(row[k])]
-                agg[6] = elems[int(row[k + 1])]
-            out.append((self._encode_key(key), agg))
-        out.sort(key=lambda item: item[0])
-        buf.clear()
-        return out
-
-    def _resident_items(self, table: _GroupTable) \
-            -> list[tuple[bytes, list]]:
-        """One table's resident aggregates as a key-sorted pair list,
-        consolidating (and emptying) any columnar buffer."""
-        mem = sorted(table.table.items()) if table.table else []
-        columnar: list[tuple[bytes, list]] = []
-        if table.columnar is not None:
-            columnar = self._consolidate_columnar(table)
-        if not columnar:
-            return mem
-        if not mem:
-            return columnar
-        merged: list[tuple[bytes, list]] = []
-        for key_bytes, agg in heapq.merge(mem, columnar,
-                                          key=lambda item: item[0]):
-            if merged and merged[-1][0] == key_bytes:
-                merged[-1] = (key_bytes,
-                              _merge_agg(merged[-1][1], agg))
-            else:
-                merged.append((key_bytes, agg))
-        return merged
+    @staticmethod
+    def _resident_items(table: _GroupTable) -> list[tuple[bytes, list]]:
+        """One table's resident aggregates as a key-sorted pair list."""
+        return sorted(table.table.items())
 
     def _write_run(self, items: Iterable[tuple[bytes, list]],
                    prefix: str) -> tuple[str, int]:
@@ -1108,15 +817,6 @@ class StreamValidator:
         handle.seek(offset)
         return thaw_value(pickle.load(handle))
 
-    def _sync_pool_stats(self) -> None:
-        pool = self._pool
-        if pool is None:
-            return
-        self.stats.intern_hits += pool.hits - self._synced_hits
-        self.stats.intern_misses += pool.misses - self._synced_misses
-        self._synced_hits = pool.hits
-        self._synced_misses = pool.misses
-
     def finalize(self, *, nested=None,
                  completed_shards: tuple[int, ...] | None = None,
                  elements_seen: int | None = None,
@@ -1153,7 +853,6 @@ class StreamValidator:
             per_plan.setdefault(index, []).append(violation)
         violations = tuple(chain.from_iterable(
             per_plan[index] for index in sorted(per_plan)))
-        self._sync_pool_stats()
         self.stats.wall_time += time.perf_counter() - start
         if exhausted is None:
             exhausted = self._exhausted
@@ -1216,7 +915,6 @@ class StreamValidator:
         violation)`` triples with per-anchor base-set counts so the
         driver can renumber base indices across shards.
         """
-        self._sync_pool_stats()
         freeze = self.tuning.spill_codec == "plain"
         tables_out: dict[str, list] = {}
         for relation, tables in self._root_tables.items():
@@ -1316,7 +1014,7 @@ class StreamValidator:
     # -- persistent checkpoint protocol ------------------------------------
 
     def export_tables(self) -> dict[int, list]:
-        """Collapse every root group table — resident, columnar, and
+        """Collapse every root group table — resident aggregates and
         spilled runs — into fully-live resident aggregates, and return
         their frozen (plain-codec) form keyed by plan index.
 
@@ -1440,20 +1138,6 @@ class StreamValidator:
         }
 
 
-def _plan_is_atomic(element_type, plan) -> bool:
-    """Is every LHS/RHS leaf path of *plan* atomic-typed at its root
-    anchor?  Only such plans are eligible for the columnar backend —
-    their interned key/RHS ids stay small and dense."""
-    for path in plan.nfd.all_paths:
-        try:
-            leaf = type_at(element_type, path)
-        except PathError:
-            return False
-        if not isinstance(leaf, BaseType):
-            return False
-    return True
-
-
 def _iter_scopes(node) -> Iterator:
     yield node
     for child in node.children.values():
@@ -1479,7 +1163,7 @@ def stream_validate(schema: Schema, sigma: Iterable[NFD],
     sources for unconstrained relations are ignored.  Relations are
     consumed in Σ first-mention order — the order the batch engine
     walks them — so witnesses come back in the batch engine's order.
-    *tuning* selects the hot-path switches (default: all on).
+    *tuning* selects the spill switches (default: both on).
     """
     sigma = tuple(sigma)
     validator = StreamValidator(schema, sigma, budget=budget,

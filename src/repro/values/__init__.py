@@ -1,8 +1,7 @@
 """Values, instances, and operations on them."""
 
 from .build import Instance, from_python, to_python
-from .canonical import (InternPool, canonical_bytes,
-                        canonical_key_bytes)
+from .canonical import canonical_bytes, canonical_key_bytes
 from .inspect import (
     atom_domain,
     empty_set_positions,
@@ -38,7 +37,6 @@ __all__ = [
     "to_python",
     "canonical_bytes",
     "canonical_key_bytes",
-    "InternPool",
     "freeze_value",
     "thaw_value",
     "check_value",

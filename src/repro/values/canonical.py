@@ -33,17 +33,6 @@ directions is property-tested in
 
 The byte *order* itself carries no semantic meaning; only equality of
 encodings and determinism of the order matter.
-
-Hot-path helpers
-----------------
-
-The streaming validator encodes millions of keys whose atoms repeat
-heavily (wide antecedent keys over a small domain).  :class:`InternPool`
-caches the encoding of every value it has seen — repeated atoms and
-repeated nested values alike — and
-:func:`canonical_key_bytes` accepts a caller-owned scratch
-``bytearray`` so the per-key assembly reuses one buffer instead of
-allocating a fresh one per key.
 """
 
 from __future__ import annotations
@@ -51,8 +40,7 @@ from __future__ import annotations
 from ..errors import ValueError_
 from .value import Atom, Record, SetValue, Value
 
-__all__ = ["canonical_bytes", "canonical_key_bytes", "InternPool",
-           "CODEC_VERSION"]
+__all__ = ["canonical_bytes", "canonical_key_bytes", "CODEC_VERSION"]
 
 #: Stable version tag of the canonical encoding.  Persisted caches
 #: (:mod:`repro.store`) key group-table rows by these bytes, so any
@@ -70,96 +58,16 @@ def canonical_bytes(value: Value) -> bytes:
     return bytes(out)
 
 
-def canonical_key_bytes(values: tuple, *, pool: "InternPool | None" = None,
-                        scratch: bytearray | None = None) -> bytes:
+def canonical_key_bytes(values: tuple) -> bytes:
     """The canonical encoding of a tuple of values (an antecedent key).
 
     Framed with the tuple's arity so keys of different widths can never
     collide even when their concatenated parts would.
-
-    *pool* substitutes cached per-value encodings for fresh ones, and
-    *scratch* is a caller-owned ``bytearray`` reused as the assembly
-    buffer (it is cleared on entry); both leave the returned bytes
-    unchanged — they only remove allocations from the per-key path.
     """
-    out = bytearray() if scratch is None else scratch
-    if scratch is not None:
-        del out[:]
-    out += b"T%d;" % len(values)
-    if pool is None:
-        for value in values:
-            _encode(value, out)
-    else:
-        for value in values:
-            out += pool.value_bytes(value)
-    return bytes(out)
-
-
-class InternPool:
-    """A bounded cache of canonical encodings, keyed by value equality.
-
-    Values are immutable and hash their structure once at construction,
-    so a dict keyed by the values themselves is an exact intern table:
-    two keys collide iff the values are equal iff their encodings are
-    identical.  The pool therefore *cannot* change any encoding — it is
-    purely an allocation saver, and the differential suite
-    (``tests/properties/test_stream_tuning_differential.py``) runs the
-    streaming validator with and without one to prove it.
-
-    ``max_entries`` bounds residency: when the table is full, inserting
-    one more entry clears the whole table (cheap, and the hot working
-    set re-warms in one pass).  ``hits``/``misses``/``evictions`` make
-    the behavior observable in stats and tests.
-    """
-
-    __slots__ = ("max_entries", "hits", "misses", "evictions", "_cache")
-
-    def __init__(self, max_entries: int = 1 << 16):
-        if max_entries < 1:
-            raise ValueError_(
-                f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._cache: dict[Value, bytes] = {}
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    def value_bytes(self, value: Value) -> bytes:
-        """The canonical encoding of *value*, cached."""
-        cached = self._cache.get(value)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        out = bytearray()
+    out = bytearray(b"T%d;" % len(values))
+    for value in values:
         _encode(value, out)
-        encoded = bytes(out)
-        if len(self._cache) >= self.max_entries:
-            self._cache.clear()
-            self.evictions += 1
-        self._cache[value] = encoded
-        return encoded
-
-    def key_bytes(self, values: tuple,
-                  scratch: bytearray | None = None) -> bytes:
-        """:func:`canonical_key_bytes` through this pool."""
-        return canonical_key_bytes(values, pool=self, scratch=scratch)
-
-    def stats(self) -> dict:
-        """JSON-friendly counters (for stream stats and tests)."""
-        return {
-            "entries": len(self._cache),
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
-
-    def __repr__(self) -> str:
-        return (f"InternPool(entries={len(self._cache)}, "
-                f"hits={self.hits}, misses={self.misses})")
+    return bytes(out)
 
 
 def _encode(value: Value, out: bytearray) -> None:

@@ -20,7 +20,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.values import Atom, InternPool, Record, SetValue
+from repro.values import Atom, Record, SetValue
 from repro.values.canonical import canonical_bytes, canonical_key_bytes
 
 # Numbers chosen to collide across types or widths: bool/int/float
@@ -80,20 +80,6 @@ def test_key_bytes_equal_iff_key_tuples_equal(left, right):
         all(a == b for a, b in zip(left, right))
     assert (canonical_key_bytes(tuple(left)) ==
             canonical_key_bytes(tuple(right))) == same
-
-
-@settings(deadline=None)
-@given(st.lists(_values(1), min_size=1, max_size=3))
-def test_pooled_key_bytes_match_unpooled(parts):
-    """The intern pool is a cache, never an encoding change."""
-    pool = InternPool(max_entries=4)  # tiny: forces eviction mid-key
-    scratch = bytearray()
-    key = tuple(parts)
-    assert canonical_key_bytes(key, pool=pool, scratch=scratch) == \
-        canonical_key_bytes(key)
-    # and again, now that every part is (maybe) pooled
-    assert canonical_key_bytes(key, pool=pool, scratch=scratch) == \
-        canonical_key_bytes(key)
 
 
 def test_numeric_triples_stay_apart():

@@ -1,18 +1,19 @@
 """Differential property tests: every StreamTuning is invisible.
 
-The hot-path knobs — canonical-bytes interning, batched binding
-emission, the columnar (numpy) group-table backend, the plain spill
-codec — are *performance* switches.  None of them may change a public
-result: for any tuning, :func:`repro.nfd.stream_validate` must produce
-byte-identical witness descriptions to the legacy (all-off) tuning and
-to the in-memory engine, resident or spilling, and the worker
-summarize/absorb protocol must merge to the same verdict.
+The spill knobs — chunked pickle frames (``spill_chunk``) and the
+plain spill codec (``spill_codec``) — are *performance* switches.
+Neither may change a public result: for any tuning,
+:func:`repro.nfd.stream_validate` must produce byte-identical witness
+descriptions to the legacy (both-off) tuning and to the in-memory
+engine, resident or spilling, and the worker summarize/absorb protocol
+must merge to the same verdict.
 
 Each hypothesis case draws one random schema/Σ/instance and runs the
-full tuning matrix — pool on/off crossed with the dict and numpy
-backends, plus the legacy configuration — so the default profile's
-100 examples exercise well over 200 tuned validations per suite run
-(the nightly profile multiplies that by 10).
+full tuning matrix — chunked/unchunked frames crossed with the plain
+and value codecs, the corners being the default and the legacy
+configuration — so the default profile's 100 examples exercise well
+over 200 tuned validations per suite run (the nightly profile
+multiplies that by 10).
 """
 
 import random
@@ -31,19 +32,10 @@ from repro.nfd import (
     stream_validate,
 )
 
-try:
-    import numpy  # noqa: F401
-    _BACKENDS = ("dict", "numpy")
-except ImportError:  # pragma: no cover - image always has numpy
-    _BACKENDS = ("dict",)
-
-#: The matrix one drawn case is run through: interning x backend, the
-#: legacy all-off configuration, and the value spill codec.
-TUNINGS = [StreamTuning.legacy()] + [
-    StreamTuning(interning=interning, backend=backend)
-    for interning in (True, False)
-    for backend in _BACKENDS
-] + [StreamTuning(spill_codec="value")]
+#: The matrix one drawn case is run through: the legacy both-off
+#: configuration, the default, and each knob switched off alone.
+TUNINGS = [StreamTuning.legacy(), StreamTuning(),
+           StreamTuning(spill_codec="value"), StreamTuning(spill_chunk=1)]
 
 
 def _draw_case(seed: int):
@@ -137,28 +129,26 @@ def test_summaries_merge_identically(seed):
 
 def test_matrix_is_at_least_the_promised_size():
     """100 hypothesis examples x len(TUNINGS) >= 200 tuned runs per
-    suite, and the matrix really crosses pool x backend."""
+    suite, and the matrix really crosses chunking x codec."""
     assert len(TUNINGS) >= 4
-    crossed = {(t.interning, t.backend) for t in TUNINGS}
-    assert {(True, "dict"), (False, "dict")} <= crossed
-    if "numpy" in _BACKENDS:
-        assert {(True, "numpy"), (False, "numpy")} <= crossed
+    crossed = {(t.spill_chunk > 1, t.spill_codec) for t in TUNINGS}
+    assert crossed == {(True, "plain"), (True, "value"),
+                       (False, "plain"), (False, "value")}
 
 
 @pytest.mark.parametrize("tuning", TUNINGS,
-                         ids=lambda t: f"i{int(t.interning)}-"
-                                       f"{t.backend}-{t.spill_codec}")
+                         ids=lambda t: f"c{t.spill_chunk}-"
+                                       f"{t.spill_codec}")
 def test_stats_counters_are_consistent(tuning):
     """Whatever the tuning, the stats a run reports must describe the
-    run: interning off => zero pool traffic; spills => rows spilled."""
+    run: spills => rows spilled and runs written, and the residency
+    cap holds."""
     schema, sigma, instance = _draw_case(4242)
     result = stream_validate(
         schema, sigma, _sources(instance),
         budget=ResourceBudget(max_resident_rows=2), tuning=tuning)
     stats = result.stats
-    if not tuning.interning:
-        assert stats.intern_hits == 0
-        assert stats.intern_misses == 0
+    assert stats.peak_resident_rows <= 2
     if stats.spills:
         assert stats.rows_spilled > 0
         assert stats.runs_written >= 1

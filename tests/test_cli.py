@@ -482,10 +482,12 @@ class TestCheckStreamDegenerate:
         assert "budget exhausted (deadline)" in captured.err
         assert "satisfies all" not in captured.out
 
-    def test_backend_choices_agree(self, course_bundle, course_jsonl,
-                                   capsys):
-        for backend in ("dict", "numpy", "auto"):
-            assert main(["check", course_bundle, "--stream",
-                         course_jsonl, "--backend", backend]) == 0, \
-                backend
-            assert "satisfies all" in capsys.readouterr().out
+    def test_backend_flag_is_rejected(self, course_bundle, course_jsonl,
+                                      capsys):
+        # the stream engine has one group-table fold and no backend
+        # switch: the flag is an argparse usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["check", course_bundle, "--stream", course_jsonl,
+                  "--backend", "dict"])
+        assert exc.value.code == 2
+        assert "--backend" in capsys.readouterr().err
