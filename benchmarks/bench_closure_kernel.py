@@ -1,17 +1,20 @@
 """The dense bitset closure kernel versus the object-graph worklist.
 
-PR 8's production claims, as acceptance gates:
+Every query runs on the dense kernel; the object-level worklist only
+records proofs (``ClosureEngine.proof_closure``, the saturation behind
+``explain``/``prove``).  The kernel's claims, as acceptance gates:
 
 * ``test_dense_kernel_gate`` — on a 100-query closure sweep over a
   |Σ| = 64 workload (chains, cross dependencies, and nested-set
   members over 16 attributes plus a set-valued path), the dense
-  strategy spends at least :data:`MIN_KERNEL_RATIO` times fewer
-  ns/query than the worklist, best-of-3 with GC paused, with every
-  answer identical.
+  kernel spends at least :data:`MIN_KERNEL_RATIO` times fewer
+  ns/query than the proof-recording worklist, best-of-3 with GC
+  paused, with every answer identical.
 * ``test_minimal_keys_gate`` — ``minimal_keys`` end-to-end (the
   batch-closure sweep over every candidate combination) finishes at
-  least :data:`MIN_KEYS_RATIO` times faster under the dense strategy
-  than under the worklist on the bench key schema, same keys out.
+  least :data:`MIN_KEYS_RATIO` times faster on the production session
+  than driven through the proof-recording worklist, on the bench key
+  schema, same keys out.
 
 The ``kernel.*_per_sec`` gauges are the inference perf trajectory:
 nightly CI dumps them into ``BENCH_closure.json`` via
@@ -33,11 +36,11 @@ from repro.types.parser import parse_schema
 #: fewer ns per query than the worklist.
 MIN_KERNEL_RATIO = 3
 
-#: Dense-strategy minimal_keys must beat the worklist end-to-end by at
+#: Production minimal_keys must beat the worklist end-to-end by at
 #: least this factor.
 MIN_KEYS_RATIO = 2
 
-#: Repeats per strategy; the best (lowest) time counts.
+#: Repeats per side; the best (lowest) time counts.
 REPEATS = 3
 
 
@@ -71,19 +74,32 @@ def _sweep_workload():
     return schema, sigma, queries
 
 
-def _timed_sweep(schema, sigma, queries, strategy):
+def _proof_closure(engine, base, lhs):
+    """``engine.closure(base, lhs)`` answered by the proof-recording
+    worklist: the same simple-form translation and pull-out, with the
+    object-level saturation in the middle."""
+    relation, ybar, lhs_set, simple_lhs = engine._push_in(base, lhs)
+    return engine._pull_out(base, relation, ybar, lhs_set,
+                            engine.proof_closure(relation, simple_lhs))
+
+
+def _timed_sweep(schema, sigma, queries, side):
     """Best-of-REPEATS wall seconds for a cold engine serving the full
-    sweep (dense table compilation included — it is part of the first
-    query's cost), GC paused around each repeat."""
+    sweep (dense table compilation, or the worklist's trigger index, is
+    part of the first query's cost), GC paused around each repeat.
+    *side* ``"dense"`` asks the engine's queries; ``"worklist"`` asks
+    the proof-recording saturation for the same closures."""
     best = None
     answers = None
     for _ in range(REPEATS):
-        engine = ClosureEngine(schema, sigma, strategy=strategy)
+        engine = ClosureEngine(schema, sigma)
+        ask = engine.closure if side == "dense" else \
+            (lambda base, lhs: _proof_closure(engine, base, lhs))
         gc.collect()
         gc.disable()
         try:
             started = time.perf_counter()
-            run = [engine.closure(base, lhs) for base, lhs in queries]
+            run = [ask(base, lhs) for base, lhs in queries]
             elapsed = time.perf_counter() - started
         finally:
             gc.enable()
@@ -141,11 +157,24 @@ def _keys_workload():
     return schema, sigma
 
 
-def _timed_keys(schema, sigma, strategy):
+class _ProofPathKeys:
+    """The key sweep driven through the proof-recording worklist: one
+    object-level closure per candidate."""
+
+    def __init__(self, schema, sigma):
+        self.schema = schema
+        self.engine = ClosureEngine(schema, sigma)
+
+    def closure(self, base, lhs):
+        return _proof_closure(self.engine, base, lhs)
+
+
+def _timed_keys(schema, sigma, side):
     best = None
     keys = None
     for _ in range(REPEATS):
-        session = ImplicationSession(schema, sigma, strategy=strategy)
+        session = ImplicationSession(schema, sigma) if side == "dense" \
+            else _ProofPathKeys(schema, sigma)
         gc.collect()
         gc.disable()
         try:

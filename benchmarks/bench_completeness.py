@@ -10,7 +10,7 @@ import random
 
 from repro.generators import random_nfd, random_schema, random_sigma
 from repro.inference import ClosureEngine, build_countermodel
-from repro.nfd import satisfies_all_fast, satisfies_fast
+from repro.nfd import satisfies, satisfies_all
 from repro.values import has_empty_sets
 
 SEED = 27_182
@@ -37,8 +37,8 @@ def _sweep():
                                          candidate.lhs)
             if has_empty_sets(witness):
                 holes += 1
-            if satisfies_all_fast(witness, sigma) and \
-                    not satisfies_fast(witness, candidate):
+            if satisfies_all(witness, sigma) and \
+                    not satisfies(witness, candidate):
                 separated += 1
     return rejected, separated, holes
 

@@ -23,7 +23,7 @@ import random
 from repro.generators import random_instance, random_nfd, random_schema, \
     random_sigma
 from repro.inference import ClosureEngine, NonEmptySpec
-from repro.nfd import satisfies_all_fast, satisfies_fast
+from repro.nfd import satisfies, satisfies_all
 from repro.paths import Path, set_paths
 
 SEED = 16_180
@@ -64,9 +64,9 @@ def _sweep():
                                            empty_probability=0.4)
                 if not spec.admits(instance):
                     continue
-                if not satisfies_all_fast(instance, sigma):
+                if not satisfies_all(instance, sigma):
                     continue
-                if not satisfies_fast(instance, candidate):
+                if not satisfies(instance, candidate):
                     separated = True
                     break
             buckets["gap-real" if separated else "gap-unknown"] += 1

@@ -9,7 +9,7 @@ benchmarks closure computation and instance construction.
 from repro.generators import workloads
 from repro.inference import ClosureEngine, build_countermodel
 from repro.io import render_relation
-from repro.nfd import NFD, satisfies_all_fast, satisfies_fast
+from repro.nfd import NFD, satisfies, satisfies_all
 from repro.paths import parse_path, relation_paths
 
 PAPER_CLOSURE = {"B", "B:C", "D", "E:F", "H", "H:J"}
@@ -70,11 +70,11 @@ def test_a1_lemma(benchmark):
     all_paths = relation_paths(schema, "R")
 
     def verify():
-        if not satisfies_all_fast(instance, sigma):
+        if not satisfies_all(instance, sigma):
             return False
         for q in all_paths:
             nfd = NFD(parse_path("R"), {parse_path("B")}, q)
-            if satisfies_fast(instance, nfd) != (q in closed):
+            if satisfies(instance, nfd) != (q in closed):
                 return False
         return True
 

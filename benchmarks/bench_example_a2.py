@@ -8,7 +8,7 @@ Same protocol as E8 for the deep schema
 from repro.generators import workloads
 from repro.inference import ClosureEngine, build_countermodel
 from repro.io import render_relation
-from repro.nfd import NFD, satisfies_all_fast, satisfies_fast
+from repro.nfd import NFD, satisfies, satisfies_all
 from repro.paths import parse_path, relation_paths
 
 PAPER_CLOSURE = {"A:B:C", "A:B", "A:B:D", "A:B:E:F"}
@@ -60,11 +60,11 @@ def test_a2_lemma(benchmark):
     all_paths = relation_paths(schema, "R")
 
     def verify():
-        if not satisfies_all_fast(instance, sigma):
+        if not satisfies_all(instance, sigma):
             return False
         for q in all_paths:
             nfd = NFD(parse_path("R"), {parse_path("A:B:C")}, q)
-            if satisfies_fast(instance, nfd) != (q in closed):
+            if satisfies(instance, nfd) != (q in closed):
                 return False
         return True
 

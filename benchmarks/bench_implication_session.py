@@ -9,15 +9,20 @@ memoization and subset seeding; the old pattern constructed a fresh
 
 ``test_saturation_gate`` is the acceptance gate for the session claim:
 running the combined candidate-key + minimal-cover workload through one
-session must cost **at least 3x fewer rule-application attempts**
-(counted via :func:`repro.inference.closure.engine_counters`) than the
-per-query fresh-engine baseline, on identical results.  It prints the
-session's memo hit rate and the serial-vs-parallel wall-clock of the
-key sweep (visible under ``-rA``).
+session must take **at least 3x less wall time** than the per-query
+fresh-engine baseline (best of :data:`REPEATS`, GC paused — the
+convention of ``bench_closure_kernel.py``), on identical results.
+Both sides run the same dense kernel, whose attempt counter counts row
+scans, so the rule-application attempts (counted via
+:func:`repro.inference.closure.engine_counters`) stay published as
+gauges but no longer carry the gate.  It prints the session's memo hit
+rate and the serial-vs-parallel wall-clock of the key sweep (visible
+under ``-rA``).
 
 The remaining benchmarks time both sides under pytest-benchmark.
 """
 
+import gc
 import time
 
 from repro.analysis.cover import minimal_cover, non_redundant
@@ -32,6 +37,13 @@ from repro.types.parser import parse_schema
 
 #: The relations whose candidate keys the workload sweeps.
 RELATIONS = ("Course", "Audit")
+
+#: The session must run the workload at least this many times faster
+#: than per-query fresh engines.
+MIN_WALL_RATIO = 3
+
+#: Repeats per side; the best (lowest) time counts.
+REPEATS = 3
 
 
 def _analysis_schema():
@@ -114,24 +126,47 @@ def _fresh_engine_cover(schema, sigma):
     return working
 
 
+def _best_of(run):
+    """``(best wall seconds, rule attempts of one run, result)`` over
+    REPEATS runs, GC paused around each."""
+    best = attempts = result = None
+    for _ in range(REPEATS):
+        gc.collect()
+        gc.disable()
+        try:
+            before = engine_counters()["attempts"]
+            started = time.perf_counter()
+            result = run()
+            elapsed = time.perf_counter() - started
+            attempts = engine_counters()["attempts"] - before
+        finally:
+            gc.enable()
+        if best is None or elapsed < best:
+            best = elapsed
+    return best, attempts, result
+
+
 def test_saturation_gate(gate_metrics):
-    """Gate: >=3x fewer rule-application attempts than fresh engines."""
+    """Gate: >=3x less wall time than fresh engines."""
     schema, sigma = _workload()
 
-    before = engine_counters()["attempts"]
-    fresh_keys = {relation: _fresh_engine_keys(schema, sigma, relation)
-                  for relation in RELATIONS}
-    fresh_cover = _fresh_engine_cover(schema, sigma)
-    fresh_attempts = engine_counters()["attempts"] - before
+    def fresh():
+        keys = {relation: _fresh_engine_keys(schema, sigma, relation)
+                for relation in RELATIONS}
+        return keys, _fresh_engine_cover(schema, sigma)
 
-    session = ImplicationSession(schema, sigma)
-    before = engine_counters()["attempts"]
-    session_keys = {
-        relation: minimal_keys(schema, sigma, relation, engine=session)
-        for relation in RELATIONS
-    }
-    session_cover = minimal_cover(schema, sigma, session=session)
-    session_attempts = engine_counters()["attempts"] - before
+    def served():
+        session = ImplicationSession(schema, sigma)
+        keys = {relation: minimal_keys(schema, sigma, relation,
+                                       engine=session)
+                for relation in RELATIONS}
+        return keys, minimal_cover(schema, sigma, session=session), \
+            session
+
+    fresh_seconds, fresh_attempts, (fresh_keys, fresh_cover) = \
+        _best_of(fresh)
+    session_seconds, session_attempts, \
+        (session_keys, session_cover, session) = _best_of(served)
 
     assert session_keys == fresh_keys
     assert session_cover == fresh_cover
@@ -154,6 +189,10 @@ def test_saturation_gate(gate_metrics):
     gauges.gauge("implication.fresh_attempts").set(fresh_attempts)
     gauges.gauge("implication.attempt_ratio").set(
         fresh_attempts / max(session_attempts, 1))
+    gauges.gauge("implication.fresh_seconds").set(fresh_seconds)
+    gauges.gauge("implication.session_seconds").set(session_seconds)
+    gauges.gauge("implication.wall_ratio").set(
+        fresh_seconds / session_seconds)
     gauges.gauge("implication.memo_hit_rate").set(stats.hit_rate)
     gauges.gauge("implication.queries").set(stats.queries)
     gauges.gauge("implication.seed_reuses").set(stats.seed_reuses)
@@ -161,11 +200,16 @@ def test_saturation_gate(gate_metrics):
     gauges.gauge("implication.parallel_seconds").set(parallel_seconds)
     session_attempts = gauges.gauge("implication.session_attempts").value
     fresh_attempts = gauges.gauge("implication.fresh_attempts").value
-    ratio = gauges.gauge("implication.attempt_ratio").value
-    print(f"\nimplication session on the Course+Audit analysis workload: "
-          f"{session_attempts} rule-application attempts vs "
-          f"{fresh_attempts} with per-query fresh engines "
-          f"({ratio:.1f}x fewer); memo hit rate "
+    ratio = gauges.gauge("implication.wall_ratio").value
+    print(f"\nimplication session on the Course+Audit analysis workload "
+          f"(best of {REPEATS}, GC paused): "
+          f"{gauges.gauge('implication.session_seconds').value:.4f}s vs "
+          f"{gauges.gauge('implication.fresh_seconds').value:.4f}s with "
+          f"per-query fresh engines ({ratio:.1f}x faster); "
+          f"{session_attempts} vs {fresh_attempts} rule-application "
+          f"attempts "
+          f"({gauges.gauge('implication.attempt_ratio').value:.1f}x "
+          f"fewer); memo hit rate "
           f"{gauges.gauge('implication.memo_hit_rate').value:.1%} "
           f"over {gauges.gauge('implication.queries').value} queries "
           f"({gauges.gauge('implication.seed_reuses').value} subset "
@@ -174,9 +218,9 @@ def test_saturation_gate(gate_metrics):
           f"serial vs "
           f"{gauges.gauge('implication.parallel_seconds').value:.4f}s "
           f"with --jobs 2")
-    assert session_attempts * 3 <= fresh_attempts, (
-        f"session spent {session_attempts} attempts, fresh engines "
-        f"spent {fresh_attempts}: ratio {ratio:.2f} < 3"
+    assert ratio >= MIN_WALL_RATIO, (
+        f"session took {session_seconds:.4f}s, fresh engines "
+        f"{fresh_seconds:.4f}s: ratio {ratio:.2f} < {MIN_WALL_RATIO}"
     )
 
 

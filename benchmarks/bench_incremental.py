@@ -15,7 +15,7 @@ import pytest
 
 from repro.generators import workloads
 from repro.incremental import IncrementalChecker
-from repro.nfd import satisfies_all_fast
+from repro.nfd import ValidatorEngine
 
 SIZES = [20, 60]
 
@@ -57,7 +57,8 @@ def test_batch_recheck(benchmark, size):
     instance = checker.to_instance()
     benchmark.group = f"one insert at n={size}"
 
-    verdict = benchmark(lambda: satisfies_all_fast(instance, sigma))
+    engine = ValidatorEngine(schema, sigma)
+    verdict = benchmark(lambda: engine.check(instance))
     assert verdict is True
 
 

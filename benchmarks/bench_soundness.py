@@ -15,7 +15,7 @@ from repro.generators import (
     random_sigma,
 )
 from repro.inference import ClosureEngine
-from repro.nfd import satisfies_all_fast, satisfies_fast
+from repro.nfd import satisfies, satisfies_all
 
 SEED = 31_415
 TRIALS = 10
@@ -42,11 +42,11 @@ def _sweep():
             for _ in range(150):
                 instance = random_instance(rng, schema, tuples=2,
                                            domain=2)
-                if not satisfies_all_fast(instance, sigma):
+                if not satisfies_all(instance, sigma):
                     continue
                 found += 1
                 checked += 1
-                if not satisfies_fast(instance, candidate):
+                if not satisfies(instance, candidate):
                     failures += 1
                 if found >= INSTANCES_PER_CANDIDATE:
                     break

@@ -24,7 +24,7 @@ from repro import (
 )
 from repro.generators import workloads
 from repro.io import render_relation
-from repro.nfd import satisfies_all_fast, satisfies_fast, translate
+from repro.nfd import satisfies, satisfies_all, translate
 from repro.paths import parse_path
 
 schema = workloads.section_3_1_schema()
@@ -88,7 +88,7 @@ print()
 non_theorem = NFD.parse("R:A:[E -> B]")
 assert not engine.implies(non_theorem)
 witness = build_countermodel(engine, non_theorem.base, non_theorem.lhs)
-assert satisfies_all_fast(witness, (nfd1, nfd2))
-assert not satisfies_fast(witness, non_theorem)
+assert satisfies_all(witness, (nfd1, nfd2))
+assert not satisfies(witness, non_theorem)
 print(f"{non_theorem} is NOT derivable; Appendix-A witness:")
 print(render_relation(witness.relation("R"), title="R:"))

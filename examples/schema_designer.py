@@ -29,7 +29,7 @@ from repro.design import (
 from repro.incremental import IncrementalChecker
 from repro.inference import FD
 from repro.io import render_relation
-from repro.nfd import satisfies_all_fast
+from repro.nfd import satisfies_all
 from repro.values import Instance
 
 # ---------------------------------------------------------------------------
@@ -118,8 +118,8 @@ dirty = Instance(nested_schema, {
     "Course": good_rows + [bad_row],
 })
 print()
-print("dirty batch satisfies sigma:", satisfies_all_fast(dirty, sigma))
+print("dirty batch satisfies sigma:", satisfies_all(dirty, sigma))
 clean = repair(dirty, sigma)
-print("after chase repair:", satisfies_all_fast(clean, sigma))
+print("after chase repair:", satisfies_all(clean, sigma))
 print()
 print(render_relation(clean.relation("Course"), title="repaired Course:"))

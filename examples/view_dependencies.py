@@ -18,7 +18,7 @@ Run:  python examples/view_dependencies.py
 from repro import Instance
 from repro.generators import workloads
 from repro.io import render_relation
-from repro.nfd import satisfies_all_fast
+from repro.nfd import satisfies_all
 from repro.views import Base, evaluate, propagate_nfds, view_schema
 
 schema = workloads.course_schema()
@@ -50,7 +50,7 @@ for name, expr in views.items():
     target_schema = view_schema(expr, schema, view_name=name)
     materialized = Instance(target_schema,
                             {name: evaluate(expr, instance)})
-    holds = satisfies_all_fast(materialized, carried)
+    holds = satisfies_all(materialized, carried)
     print(f"  materialized view satisfies them: {holds}")
     assert holds
     print()

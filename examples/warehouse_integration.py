@@ -22,7 +22,7 @@ from repro import ClosureEngine, Instance, NFD, parse_nfds, parse_schema
 from repro.analysis import fds_after_nest
 from repro.inference import FD
 from repro.io import render_instance
-from repro.nfd import find_violations, satisfies_all, satisfies_all_fast
+from repro.nfd import find_violations, satisfies_all
 
 schema = parse_schema("""
     StoreA = {<order_id: int, customer: string,
@@ -97,7 +97,7 @@ drifted = Instance(schema, {
 per_source = [nfd for nfd in sigma if nfd.relation != "Warehouse"]
 print()
 print("sources still individually consistent:",
-      satisfies_all_fast(drifted, per_source))
+      satisfies_all(drifted, per_source))
 print("warehouse constraints after refresh:")
 for nfd in sigma:
     if nfd.relation != "Warehouse":
@@ -133,4 +133,4 @@ print()
 print("flat FDs carried into the nested view:")
 for fd, nfd in zip(flat_fds, carried):
     print(f"   {fd}  ~>  {nfd}  - holds on the refreshed view:",
-          satisfies_all_fast(instance, [nfd]))
+          satisfies_all(instance, [nfd]))

@@ -84,7 +84,6 @@ class ConstraintReport:
 
 def analyze_constraints(schema: Schema, sigma: Iterable[NFD],
                         nonempty: NonEmptySpec | None = None, *,
-                        strategy: str = "worklist",
                         session: ImplicationSession | None = None) \
         -> ConstraintReport:
     """Run every analysis over the constraint set; see
@@ -94,13 +93,10 @@ def analyze_constraints(schema: Schema, sigma: Iterable[NFD],
     *session* to reuse an existing one and read its statistics
     afterwards): the key sweeps, singleton probes, redundancy scan, and
     cover all draw on the same memoized closures and compiled pool.
-    *strategy* selects the self-built session's saturation strategy; a
-    supplied *session* keeps its own.
     """
     sigma_list = list(sigma)
     if session is None:
-        session = ImplicationSession(schema, sigma_list, nonempty,
-                                     strategy=strategy)
+        session = ImplicationSession(schema, sigma_list, nonempty)
 
     keys: dict[str, list[frozenset[Path]]] = {}
     singletons: dict[str, list[Path]] = {}

@@ -36,12 +36,13 @@ The ``counter`` command is the exception: the Appendix-A construction
 lives in the Section 3.1 setting, so it rejects a restrictive spec
 instead of silently ignoring it.
 
-``implies``, ``closure``, ``keys``, ``analyze``, and ``normalize``
-accept ``--strategy {worklist,naive,dense}`` selecting the closure
-engine's saturation strategy (default ``worklist``, except
-``normalize`` which defaults to ``dense``; ``dense`` is the interned
-bitset kernel — fastest for sweep workloads, but it records no
-provenance, so ``explain``/``prove`` always run the worklist).
+Every closure query runs on one kernel, the interned bitset kernel of
+:mod:`repro.inference.dense`; ``explain`` and ``prove`` additionally
+record the saturation steps they justify.  ``implies``, ``closure``,
+``keys``, ``analyze``, and ``normalize`` still parse the retired
+``--strategy {worklist,naive,dense}`` flag so old scripts keep working:
+it is hidden from ``--help``, ignored, and an unknown name is still a
+usage error (exit 2).
 
 ``repro normalize BUNDLE`` runs the nested normalization pipeline
 (see :mod:`repro.design.synthesize`): minimal cover, 3NF-style nest
@@ -306,9 +307,7 @@ def _cmd_implies_remote(args) -> int:
     _obs_note(args)
     bundle = _remote_bundle(args)
     with _remote_client(args) as client:
-        implied = client.implies(bundle, args.nfd,
-                                 strategy=getattr(args, "strategy",
-                                                  None))
+        implied = client.implies(bundle, args.nfd)
     candidate = parse_nfd(args.nfd)
     print(f"{'implied' if implied else 'not implied'}: {candidate}")
     return 0 if implied else 1
@@ -320,9 +319,7 @@ def _cmd_closure_remote(args) -> int:
     base = parse_path(args.base)
     lhs = {parse_path(text) for text in args.paths}
     with _remote_client(args) as client:
-        closed = client.closure(bundle, args.base, list(args.paths),
-                                strategy=getattr(args, "strategy",
-                                                 None))
+        closed = client.closure(bundle, args.base, list(args.paths))
     lhs_text = ", ".join(sorted(map(str, lhs))) or "∅"
     print(f"({base}, {{{lhs_text}}})* =")
     for path in closed:
@@ -334,8 +331,7 @@ def _cmd_keys_remote(args) -> int:
     _obs_note(args)
     bundle = _remote_bundle(args)
     with _remote_client(args) as client:
-        result = client.keys(bundle, args.relation,
-                             strategy=getattr(args, "strategy", None))
+        result = client.keys(bundle, args.relation)
     relation = result.get("relation", args.relation)
     keys = result.get("keys", [])
     if not keys:
@@ -488,8 +484,6 @@ def _cmd_implies(args) -> int:
     store = _store_from_args(args)
     session = ImplicationSession(schema, sigma,
                                  nonempty=_spec_from_args(args),
-                                 strategy=getattr(args, "strategy",
-                                                  "worklist"),
                                  tracer=tracer, store=store)
     status = 0 if session.implies(candidate) else 1
     print(f"{'implied' if status == 0 else 'not implied'}: {candidate}")
@@ -511,8 +505,6 @@ def _cmd_closure(args) -> int:
     store = _store_from_args(args)
     session = ImplicationSession(schema, sigma,
                                  nonempty=_spec_from_args(args),
-                                 strategy=getattr(args, "strategy",
-                                                  "worklist"),
                                  tracer=tracer, store=store)
     closed = session.closure(base, lhs)
     lhs_text = ", ".join(sorted(map(str, lhs))) or "∅"
@@ -605,17 +597,15 @@ def _cmd_keys(args) -> int:
     jobs = getattr(args, "jobs", 1)
     tracer = _tracer_from_args(args)
     store = _store_from_args(args)
-    strategy = getattr(args, "strategy", "worklist")
     session = None
     if jobs <= 1:
-        session = ImplicationSession(schema, sigma, spec,
-                                     strategy=strategy, tracer=tracer,
+        session = ImplicationSession(schema, sigma, spec, tracer=tracer,
                                      store=store)
     elif getattr(args, "cache_stats", False):
         print("cache stats unavailable with --jobs > 1 (each worker "
               "process holds its own session)", file=sys.stderr)
     keys = minimal_keys(schema, sigma, relation, engine=session,
-                        nonempty=spec, jobs=jobs, strategy=strategy,
+                        nonempty=spec, jobs=jobs,
                         cache_dir=store.cache_dir
                         if store is not None else None)
     report = RunReport(command="keys")
@@ -662,8 +652,6 @@ def _cmd_analyze(args) -> int:
     spec = _spec_from_args(args)
     tracer = _tracer_from_args(args)
     session = ImplicationSession(schema, list(sigma), spec,
-                                 strategy=getattr(args, "strategy",
-                                                  "worklist"),
                                  tracer=tracer)
     analysis = analyze_constraints(schema, sigma, nonempty=spec,
                                    session=session)
@@ -705,7 +693,7 @@ def _cmd_normalize(args) -> int:
         summary = sweep_normalize(
             args.sweep, jobs=args.jobs, seed=args.seed,
             rules=args.rules, max_fields=args.max_fields,
-            strategy=args.strategy, mode=args.mode)
+            mode=args.mode)
         print(summary.to_text())
         report.add("design", summary)
         _obs_finish(args, report, tracer)
@@ -717,7 +705,7 @@ def _cmd_normalize(args) -> int:
     schema, sigma, instance = _load(args.bundle)
     spec = _spec_from_args(args)
     design = synthesize_design(schema, sigma, args.relation,
-                               nonempty=spec, strategy=args.strategy,
+                               nonempty=spec,
                                mode=args.mode, instance=instance,
                                tracer=tracer)
     print(design.to_text())
@@ -878,14 +866,12 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     def strategy_arg(sub):
-        sub.add_argument(
-            "--strategy", choices=("worklist", "naive", "dense"),
-            default="worklist",
-            help="closure saturation strategy: the indexed worklist "
-                 "(default), the naive reference loop, or the dense "
-                 "bitset kernel (fastest for sweeps; records no "
-                 "provenance)",
-        )
+        # the retired closure-strategy flag: still parsed (and an
+        # unknown name still rejected) so old scripts keep working, but
+        # one kernel answers every query, so the value is ignored
+        sub.add_argument("--strategy",
+                         choices=("worklist", "naive", "dense"),
+                         help=argparse.SUPPRESS)
 
     def cache_stats_arg(sub):
         sub.add_argument(
@@ -1093,11 +1079,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "session with copy-on-write probes (default) "
                           "or a fresh engine per query (the benchmark "
                           "baseline; identical designs)")
-    sub.add_argument(
-        "--strategy", choices=("worklist", "naive", "dense"),
-        default="dense",
-        help="closure saturation strategy (default dense: the bitset "
-             "kernel — normalization is a sweep workload)")
+    strategy_arg(sub)
     nonempty_arg(sub)
     jobs_arg(sub)
     obs_args(sub)

@@ -121,8 +121,7 @@ class PlanReport:
         return NFD(nfd.base.concat(shared), inner_lhs,
                    nfd.rhs.strip_prefix(shared))
 
-    def make_session(self, nonempty=None, *, strategy: str = "worklist",
-                     tracer=None):
+    def make_session(self, nonempty=None, *, tracer=None):
         """An :class:`~repro.inference.session.ImplicationSession` over
         ``all_nfds()`` (carried NFDs in placement order, then the
         structural ones) — the layout :meth:`locally_enforceable`
@@ -131,11 +130,10 @@ class PlanReport:
         from ..inference.session import ImplicationSession
 
         return ImplicationSession(self.schema, self.all_nfds(), nonempty,
-                                  strategy=strategy, tracer=tracer)
+                                  tracer=tracer)
 
     def locally_enforceable(self, placement: DependencyPlacement, *,
-                            session=None,
-                            strategy: str = "worklist") -> bool:
+                            session=None) -> bool:
         """Can this dependency be checked one base set at a time?
 
         True when replacing the carried (global) NFD by its local form
@@ -162,8 +160,7 @@ class PlanReport:
             return session.replaced(index, local).implies(placement.nfd)
         others = [p.nfd for p in self.placements if p is not placement]
         sigma = others + self.structural_nfds() + [local]
-        return ClosureEngine(self.schema, sigma,
-                             strategy=strategy).implies(placement.nfd)
+        return ClosureEngine(self.schema, sigma).implies(placement.nfd)
 
     def to_text(self) -> str:
         lines = []

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import Iterable
 
-from ..nfd.fast_satisfy import satisfies_all_fast
+from ..nfd.batch_validate import ValidatorEngine
 from ..nfd.nfd import NFD
 from ..types.base import BaseType, RecordType, SetType, Type
 from ..types.schema import Schema
@@ -92,10 +92,10 @@ def random_satisfying_instance(rng: random.Random, schema: Schema,
     case.  Rejection is effective here because the tests use few tuples
     and tiny domains.
     """
-    sigma_list = list(sigma)
+    validator = ValidatorEngine(schema, sigma)
     for _ in range(max_attempts):
         candidate = random_instance(rng, schema, tuples, domain,
                                     max_set_size, empty_probability)
-        if satisfies_all_fast(candidate, sigma_list):
+        if validator.check(candidate):
             return candidate
     return None

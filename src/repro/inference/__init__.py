@@ -12,7 +12,7 @@ from .armstrong import (
     is_flat_relation,
     nfd_to_fd,
 )
-from .brute_force import BruteForceProver
+from .brute_force import BruteForceProver, NaiveClosure
 from .closure import ClosureEngine, EngineStats, Explanation
 from .dense import DenseTables, compile_tables
 from .countermodel import (
@@ -63,6 +63,7 @@ __all__ = [
     "Derivation",
     "Step",
     "BruteForceProver",
+    "NaiveClosure",
     "CountermodelBuilder",
     "build_countermodel",
     "find_countermodel",

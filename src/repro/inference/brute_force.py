@@ -1,34 +1,47 @@
-"""Exhaustive rule application: an independent oracle for the engine.
+"""Reference oracles for the closure engine.
 
-The closure engine of :mod:`repro.inference.closure` is an efficient
-saturation *strategy*; this module is the brute-force ground truth for
-what the inference rules can derive.  It enumerates the entire (finite)
-space of NFDs over a schema — every base path, every LHS subset, every
-RHS — and applies the eight rules of Section 3.1 *plus* full-locality
-(Section 3.2) to a fixpoint; see the inline comment in ``_saturate`` for
-why full-locality is required for the system to match the semantic
-implication that Theorem 3.1's completeness promises.
+The closure engine of :mod:`repro.inference.closure` answers queries
+with a compiled bitset kernel and records proofs with an indexed
+worklist.  This module holds the two slow references the tests and
+benchmarks compare it against:
 
-The space is exponential in the number of paths, so construction guards
-against large schemas (``max_paths``).  Intended for cross-validation
-tests and the closure-vs-brute-force benchmark, not for production
-queries.
+* :class:`BruteForceProver` — the ground truth for what the inference
+  rules can derive.  It enumerates the entire (finite) space of NFDs
+  over a schema — every base path, every LHS subset, every RHS — and
+  applies the eight rules of Section 3.1 *plus* full-locality
+  (Section 3.2) to a fixpoint; see the inline comment in ``_saturate``
+  for why full-locality is required for the system to match the
+  semantic implication that Theorem 3.1's completeness promises.  The
+  space is exponential in the number of paths, so construction guards
+  against large schemas (``max_paths``).
+* :class:`NaiveClosure` — the engine's own rule system saturated the
+  obvious way: a global rescan of every usable NFD against every query
+  until nothing changes.  It scales like the engine (no enumeration of
+  the NFD space), so the differential suites and
+  ``benchmarks/bench_scaling_closure.py`` use it where brute force
+  cannot reach, and its step count is the baseline the engine's
+  indexing is measured against.
+
+Neither is meant for production queries.
 """
 
 from __future__ import annotations
 
+import time
 from itertools import combinations
 from typing import Iterable
 
 from ..errors import InferenceError
 from ..nfd.nfd import NFD
+from .closure import ClosureEngine, _localizations, _step
+from .empty_sets import NonEmptySpec
 from .simple_rules import full_locality
 from ..paths.path import Path
 from ..paths.typing import resolve_base_path, set_paths, type_at
 from ..types.base import SetType
 from ..types.schema import Schema
 
-__all__ = ["BruteForceProver"]
+__all__ = ["BruteForceProver", "NaiveClosure"]
 
 _Key = tuple[Path, frozenset[Path]]
 
@@ -215,4 +228,93 @@ class BruteForceProver:
 
     def implies(self, nfd: NFD) -> bool:
         """Is *nfd* derivable by the eight rules?"""
+        return nfd.rhs in self.closure(nfd.base, nfd.lhs)
+
+
+class NaiveClosure:
+    """The reference global fixpoint of the closure engine's rules.
+
+    Every saturation rescans every singleton candidate and re-attempts
+    every usable NFD against every closure query of the relation until
+    a full round changes nothing — no trigger index, no deltas, no
+    bitmasks.  It shares the engine's compiled rule pool (Sigma members'
+    simple forms, localized variants, singleton candidates), its
+    object-level single-step rule, and its simple-form translation, so
+    it computes the same closures as
+    :class:`~repro.inference.closure.ClosureEngine` by a different
+    route.  ``attempts`` / ``successes`` / ``wall_time`` count its step
+    work.
+    """
+
+    def __init__(self, schema: Schema, sigma: Iterable[NFD],
+                 nonempty: NonEmptySpec | None = None):
+        self._engine = ClosureEngine(schema, sigma, nonempty)
+        self.schema = schema
+        self.nonempty = self._engine.nonempty
+        self.attempts = 0
+        self.successes = 0
+        self.wall_time = 0.0
+        names = schema.relation_names
+        self._queries: dict[str, dict[frozenset[Path], set[Path]]] = {
+            n: {} for n in names}
+        self._usables = {n: list(self._engine._all_usables(n))
+                         for n in names}
+        self._pending = {n: list(self._engine._pool.candidates[n])
+                         for n in names}
+
+    def closure_simple(self, relation: str, lhs: Iterable[Path]) \
+            -> frozenset[Path]:
+        """``CL(lhs)`` at a relation-name base."""
+        if relation not in self.schema:
+            raise InferenceError(f"unknown relation {relation!r}")
+        key = frozenset(lhs)
+        queries = self._queries[relation]
+        if key not in queries:
+            queries[key] = set(key)
+        started = time.perf_counter()
+        self._saturate(relation)
+        self.wall_time += time.perf_counter() - started
+        return frozenset(queries[key])
+
+    def _saturate(self, relation: str) -> None:
+        queries = self._queries[relation]
+        usables = self._usables[relation]
+        while True:
+            changed = False
+            still = []
+            for candidate in self._pending[relation]:
+                premise = queries.setdefault(candidate.premise_lhs,
+                                             set(candidate.premise_lhs))
+                if candidate.targets <= premise:
+                    usables.append(candidate.usable)
+                    usables.extend(_localizations(
+                        relation, candidate.usable, self.nonempty))
+                    changed = True
+                else:
+                    still.append(candidate)
+            self._pending[relation] = still
+            for key, closure_set in queries.items():
+                for usable in usables:
+                    self.attempts += 1
+                    if _step(self.nonempty, relation, usable, key,
+                             closure_set) is not None:
+                        closure_set.add(usable.rhs)
+                        self.successes += 1
+                        changed = True
+            if not changed:
+                return
+
+    def closure(self, base: Path, lhs: Iterable[Path]) \
+            -> frozenset[Path]:
+        """``(base, lhs, Sigma)*`` through the engine's simple-form
+        translation and gated pull-out."""
+        engine = self._engine
+        relation, ybar, lhs_set, simple_lhs = engine._push_in(base, lhs)
+        return engine._pull_out(base, relation, ybar, lhs_set,
+                                self.closure_simple(relation,
+                                                    simple_lhs))
+
+    def implies(self, nfd: NFD) -> bool:
+        """Decide ``Sigma |= nfd`` via the reference closure."""
+        nfd.check_well_formed(self.schema)
         return nfd.rhs in self.closure(nfd.base, nfd.lhs)

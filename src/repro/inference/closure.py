@@ -32,22 +32,23 @@ All queries of a relation share the usable-NFD pool and are saturated to
 a global fixpoint; monotonicity over the finite path set guarantees
 termination.
 
-Saturation is *semi-naive*: usables are indexed by every LHS member and
-by the member prefixes that can cover them through the prefix rule, each
-query keeps a dirty set of newly derived paths, and only usables whose
-LHS intersects a delta are re-attempted.  A new query or a newly
-activated singleton candidate therefore triggers work proportional to
-what it can actually fire, not a global rescan.  The pre-index global
-fixpoint is retained as ``strategy="naive"`` — a reference
-implementation sharing the same single-step rule, used by the
-differential tests and the scaling benchmarks.  Both strategies compute
-the least fixpoint of the same monotone step operator, so their results
-coincide; :attr:`ClosureEngine.stats` exposes the work counters that
-tell them apart.
+Every query is answered by one kernel: the dense bitset kernel of
+:mod:`repro.inference.dense`, which interns a relation's paths into bit
+positions and saturates with integer mask arithmetic.  Proofs need more
+than an answer — which usable derived each path, and through which
+covering paths — so :meth:`ClosureEngine.explain` and
+:func:`~repro.inference.proof_compiler.compile_proof` run a second,
+object-level saturation on demand: a semi-naive worklist
+(:class:`_ProofRecorder`) that indexes usables by every LHS member and
+coverable prefix, keeps a dirty set per query, and records one
+justification per derived path.  Both compute the least fixpoint of the
+same monotone step operator over the same rule pool, so their closures
+coincide (``tests/properties/test_closure_differential.py`` checks them
+against the global-rescan reference
+:class:`~repro.inference.brute_force.NaiveClosure`).
 
-The usables compiled from Sigma — each member's simple form, its
-admissible localized variants, and the trigger index over their LHS
-members and coverable prefixes — depend only on ``(schema, member,
+The usables compiled from Sigma — each member's simple form and its
+admissible localized variants — depend only on ``(schema, member,
 nonempty)``, never on the rest of Sigma.  They are therefore compiled
 once into a :class:`_SigmaPool` tagged by member index and *shared* by
 the copy-on-write probe engines :meth:`ClosureEngine.without`,
@@ -90,16 +91,11 @@ from ..paths.typing import (
 )
 from ..types.base import SetType
 from ..types.schema import Schema
-from .dense import DenseTables, bit_indices, compile_row, compile_tables
+from .dense import DenseTables, compile_row, compile_tables, mask_paths
 from .empty_sets import NonEmptySpec
 
 __all__ = ["ClosureEngine", "EngineStats", "engine_counters",
            "pool_build_count"]
-
-#: Engine saturation strategies: the indexed worklist (default), the
-#: retained global-rescan reference used for differential testing, and
-#: the interned-bitmask kernel (see :mod:`repro.inference.dense`).
-STRATEGIES = ("worklist", "naive", "dense")
 
 # Process-global work counters, accumulated across every engine ever
 # constructed.  Benchmarks and tests snapshot/diff these to assert
@@ -113,8 +109,8 @@ def engine_counters() -> dict[str, int]:
 
     ``pool_builds`` — full Sigma-pool compilations (copy-on-write probes
     share their parent's pool and do not count); ``attempts`` /
-    ``saturations`` — transitivity-step attempts and saturation calls
-    summed over every engine in the process.
+    ``saturations`` — rule attempts and saturation calls summed over
+    every engine in the process.
     """
     return dict(_COUNTERS)
 
@@ -133,35 +129,35 @@ class EngineStats:
     :meth:`diff` them.  Per-relation maps reflect the state at snapshot
     time.
 
-    * ``saturations`` — calls to the saturation loop;
-    * ``rounds`` — work units: worklist items drained, or full rescan
-      rounds for the naive strategy;
-    * ``attempts`` / ``successes`` — transitivity-step attempts and how
-      many of them grew a closure;
+    * ``saturations`` — calls to a saturation loop;
+    * ``rounds`` — work units: dense fixpoint passes, plus worklist
+      items drained while recording proofs;
+    * ``attempts`` / ``successes`` — rule attempts (dense row scans,
+      plus transitivity-step attempts while recording proofs) and the
+      paths they derived;
     * ``wall_time`` — seconds spent inside saturation;
     * ``usables`` / ``candidates`` / ``activated`` — usable-pool size,
       singleton-candidate count, and activated candidates per relation;
     * ``queries`` / ``derived`` — live closure queries and the total
       number of non-seed paths they derived, per relation;
-    * ``mask_tests`` — dense-kernel row scans (each scan is at least
-      one bitmask test; zero for the object strategies);
-    * ``dense_seeds`` — dense queries created with a superset seed;
-    * ``interned`` — interned universe size per relation (dense only).
+    * ``mask_tests`` — dense-kernel row scans plus batch verdict tests
+      (each is at least one bitmask test);
+    * ``dense_seeds`` — queries created with a superset seed;
+    * ``interned`` — interned universe size per relation.
     """
 
-    __slots__ = ("strategy", "saturations", "rounds", "attempts",
-                 "successes", "wall_time", "usables", "candidates",
-                 "activated", "queries", "derived", "mask_tests",
-                 "dense_seeds", "interned")
+    __slots__ = ("saturations", "rounds", "attempts", "successes",
+                 "wall_time", "usables", "candidates", "activated",
+                 "queries", "derived", "mask_tests", "dense_seeds",
+                 "interned")
 
-    def __init__(self, strategy: str, saturations: int, rounds: int,
-                 attempts: int, successes: int, wall_time: float,
+    def __init__(self, saturations: int, rounds: int, attempts: int,
+                 successes: int, wall_time: float,
                  usables: dict[str, int], candidates: dict[str, int],
                  activated: dict[str, int], queries: dict[str, int],
                  derived: dict[str, int], mask_tests: int = 0,
                  dense_seeds: int = 0,
                  interned: dict[str, int] | None = None):
-        self.strategy = strategy
         self.saturations = saturations
         self.rounds = rounds
         self.attempts = attempts
@@ -184,7 +180,6 @@ class EngineStats:
     def as_dict(self) -> dict:
         """The snapshot as a plain (JSON-friendly) dictionary."""
         return {
-            "strategy": self.strategy,
             "saturations": self.saturations,
             "rounds": self.rounds,
             "attempts": self.attempts,
@@ -207,18 +202,11 @@ class EngineStats:
     def diff(self, baseline: "EngineStats") -> "EngineStats":
         """The work done since *baseline* (an earlier snapshot of the
         same engine): cumulative totals are subtracted, point-in-time
-        maps (usables, candidates, activated, queries, derived) keep
-        this snapshot's values.  This — not in-place resetting — is the
-        reset semantics for engines reused across queries."""
-        if baseline.strategy != self.strategy:
-            raise InferenceError(
-                "cannot diff snapshots from different strategies: "
-                f"{self.strategy!r} vs {baseline.strategy!r}; diff() "
-                "expects two snapshot() calls taken from the *same* "
-                "engine — snapshot() before the window, snapshot() "
-                "after, then diff the later against the earlier")
+        maps (usables, candidates, activated, queries, derived,
+        interned) keep this snapshot's values.  This — not in-place
+        resetting — is the reset semantics for engines reused across
+        queries."""
         return EngineStats(
-            strategy=self.strategy,
             saturations=self.saturations - baseline.saturations,
             rounds=self.rounds - baseline.rounds,
             attempts=self.attempts - baseline.attempts,
@@ -235,24 +223,21 @@ class EngineStats:
         )
 
     def to_text(self) -> str:
+        interned = ", ".join(
+            f"{relation}={self.interned[relation]}"
+            for relation in sorted(self.interned)
+        ) or "-"
         lines = [
-            f"engine stats ({self.strategy} strategy):",
+            "engine stats:",
             f"  saturations: {self.saturations}  "
             f"rounds: {self.rounds}",
             f"  apply attempts: {self.attempts}  "
             f"successes: {self.successes}",
             f"  saturation wall time: {self.wall_time:.6f}s",
+            f"  mask tests: {self.mask_tests}  "
+            f"dense seeds: {self.dense_seeds}  "
+            f"interned ids: {interned}",
         ]
-        if self.strategy == "dense":
-            interned = ", ".join(
-                f"{relation}={self.interned[relation]}"
-                for relation in sorted(self.interned)
-            ) or "-"
-            lines.append(
-                f"  mask tests: {self.mask_tests}  "
-                f"dense seeds: {self.dense_seeds}  "
-                f"interned ids: {interned}"
-            )
         for relation in sorted(self.usables):
             lines.append(
                 f"  {relation}: {self.usables[relation]} usable(s), "
@@ -264,9 +249,8 @@ class EngineStats:
         return "\n".join(lines)
 
     def __repr__(self) -> str:
-        return (f"EngineStats(strategy={self.strategy!r}, "
-                f"attempts={self.attempts}, successes={self.successes}, "
-                f"rounds={self.rounds})")
+        return (f"EngineStats(attempts={self.attempts}, "
+                f"successes={self.successes}, rounds={self.rounds})")
 
 
 class _Usable:
@@ -380,21 +364,87 @@ def _compile_member(nfd: NFD, nonempty: NonEmptySpec) \
     return relation, usables
 
 
+def _coverage(nonempty: NonEmptySpec, relation: str, member: Path,
+              key: frozenset[Path], closure_set: set[Path],
+              rhs: Path) -> Path | None:
+    """The covering path to use for one LHS member, or None.
+
+    A covering path is *member* itself, or — through the prefix rule —
+    a non-empty proper prefix ``member[:k]`` that is in the closure and
+    not a prefix of *rhs*; in gated mode shortening to ``member[:k]``
+    additionally requires every shortening result ``member[:j]``,
+    ``k <= j < len(member)``, declared non-empty, and any covering path
+    must pass the Section 3.2 transitivity gate (be part of the query
+    key, follow *rhs*, or be always defined).  All admissible options
+    are considered — each corresponds to a valid derivation —
+    preferring *member* itself, then the longest admissible prefix.
+    The dense kernel compiles exactly these options into its masks
+    (:func:`repro.inference.dense.compile_row`).
+    """
+    gated = not nonempty.declares_everything
+    if member in closure_set and (
+            not gated or
+            _intermediate_ok(nonempty, relation, member, key, rhs)):
+        return member
+    for k in range(len(member) - 1, 0, -1):
+        shortened = member[:k]
+        if gated and not nonempty.is_declared(relation, shortened):
+            # shortening past this position is gated off, and every
+            # shorter prefix would have to shorten through it
+            return None
+        if shortened in closure_set and \
+                not shortened.is_prefix_of(rhs) and (
+                    not gated or
+                    _intermediate_ok(nonempty, relation, shortened, key,
+                                     rhs)):
+            return shortened
+    return None
+
+
+def _intermediate_ok(nonempty: NonEmptySpec, relation: str, used: Path,
+                     key: frozenset[Path], rhs: Path) -> bool:
+    """Section 3.2 transitivity gate for one intermediate path."""
+    return used in key or used.follows(rhs) or \
+        nonempty.always_defined(relation, used)
+
+
+def _step(nonempty: NonEmptySpec, relation: str, usable: _Usable,
+          key: frozenset[Path], closure_set: set[Path]):
+    """One transitivity step of *usable* against the query *key*.
+
+    Returns the covering path of every LHS member as
+    ``((member, used), ...)`` when the step adds ``usable.rhs`` to the
+    closure, or None when the RHS is already derived or some member is
+    uncovered.  The single-step rule shared by the proof recorder and
+    the naive reference (:mod:`repro.inference.brute_force`).
+    """
+    if usable.rhs in closure_set:
+        return None
+    pairs = []
+    for member in usable.lhs:
+        used = _coverage(nonempty, relation, member, key, closure_set,
+                         usable.rhs)
+        if used is None:
+            return None
+        pairs.append((member, used))
+    return tuple(pairs)
+
+
 class _SigmaPool:
     """The compiled, shareable part of an engine for one root Sigma.
 
     Everything here is derived member-by-member from ``(schema, Sigma,
-    nonempty)`` and never mutated after construction, so copy-on-write
-    probe engines (:meth:`ClosureEngine.without` / ``with_added`` /
-    ``replace``) share one pool and mask members in or out instead of
-    recompiling usables and trigger indexes per probe.  Entries are
-    tagged with the member index they came from; an engine filters them
-    against its active-member set at drain time.
+    nonempty)`` and never mutated after construction (the dense tables
+    are a compile-once cache), so copy-on-write probe engines
+    (:meth:`ClosureEngine.without` / ``with_added`` / ``replace``) share
+    one pool and mask members in or out instead of recompiling usables
+    and tables per probe.  Entries are tagged with the member index they
+    came from; an engine filters them against its active-member set.
     """
 
     __slots__ = ("schema", "nonempty", "paths", "candidates",
-                 "candidate_index", "member_usables", "trigger",
-                 "empty_lhs", "by_relation", "_dense")
+                 "candidate_index", "member_usables", "by_relation",
+                 "_dense")
 
     def __init__(self, schema: Schema, sigma: tuple[NFD, ...],
                  nonempty: NonEmptySpec):
@@ -413,23 +463,14 @@ class _SigmaPool:
         ] = {n: {} for n in names}
         self._build_singleton_candidates(schema)
 
-        # member-tagged usable structures
+        # member-tagged usables
         self.member_usables: list[list[_Usable]] = []
-        self.trigger: dict[str, dict[Path, list]] = {n: {} for n in names}
-        self.empty_lhs: dict[str, list] = {n: [] for n in names}
         self.by_relation: dict[str, list] = {n: [] for n in names}
         for index, nfd in enumerate(sigma):
             relation, usables = _compile_member(nfd, nonempty)
             self.member_usables.append(usables)
             for usable in usables:
                 self.by_relation[relation].append((index, usable))
-                if usable.lhs:
-                    trigger = self.trigger[relation]
-                    for path in usable.trigger_paths():
-                        trigger.setdefault(path, []).append(
-                            (index, usable))
-                else:
-                    self.empty_lhs[relation].append((index, usable))
 
         # Lazily compiled dense tables, per relation.  A pure cache:
         # the tables depend only on (schema, Sigma members, nonempty),
@@ -483,28 +524,176 @@ class _SigmaPool:
                         candidate.premise_lhs, []).append(candidate)
 
 
+class _ProofRecorder:
+    """One relation's proof-recording saturation, run on demand.
+
+    The object-level semi-naive worklist behind :meth:`ClosureEngine.
+    explain` and :func:`~repro.inference.proof_compiler.compile_proof`:
+    usables are indexed by every LHS member and by the member prefixes
+    that can cover them through the prefix rule, each query keeps a
+    dirty set of newly derived paths, and only usables whose LHS
+    intersects a delta are re-attempted.  Every derived path records
+    the usable that produced it and the covering path of each LHS
+    member (``provenance``).  It reaches the same least fixpoint as the
+    dense kernel — same step rule, same rule pool — but no query path
+    runs it; its activated singleton candidates and runtime usables are
+    its own, so it never disturbs the kernel's state.
+    """
+
+    __slots__ = ("engine", "relation", "queries", "dirty", "fresh",
+                 "new_usables", "activated", "provenance", "registered",
+                 "trigger", "empty_lhs")
+
+    def __init__(self, engine: "ClosureEngine", relation: str):
+        self.engine = engine
+        self.relation = relation
+        self.queries: dict[frozenset[Path], set[Path]] = {}
+        # pending deltas per query, usables not yet offered to every
+        # query, and queries not yet offered the empty-LHS usables
+        self.dirty: dict[frozenset[Path], set[Path]] = {}
+        self.fresh: list[frozenset[Path]] = []
+        self.new_usables: list[_Usable] = []
+        self.activated: set = set()
+        # query key -> derived path -> (usable, ((member, used), ...))
+        self.provenance: dict[frozenset[Path], dict] = {}
+        self.registered: set = set()
+        self.trigger: dict[Path, list[_Usable]] = {}
+        self.empty_lhs: list[_Usable] = []
+        for usable in engine._all_usables(relation):
+            self._register(usable, broadcast=False)
+        for candidate in engine._pool.candidates[relation]:
+            self._ensure(candidate.premise_lhs)
+
+    def _register(self, usable: _Usable, broadcast: bool) -> None:
+        """Index one usable (the first of several sharing a key wins:
+        one attempt per ``(lhs, rhs)`` suffices)."""
+        if usable.key() in self.registered:
+            return
+        self.registered.add(usable.key())
+        if usable.lhs:
+            for path in usable.trigger_paths():
+                self.trigger.setdefault(path, []).append(usable)
+        else:
+            self.empty_lhs.append(usable)
+        if broadcast:
+            self.new_usables.append(usable)
+
+    def _ensure(self, key: frozenset[Path]) -> None:
+        if key not in self.queries:
+            self.queries[key] = set(key)
+            self.dirty.setdefault(key, set()).update(key)
+            self.fresh.append(key)
+
+    def closure(self, key: frozenset[Path]) -> frozenset[Path]:
+        self._ensure(key)
+        self.engine._saturate(self.relation, self._drain)
+        return frozenset(self.queries[key])
+
+    def _apply(self, key: frozenset[Path], closure_set: set[Path],
+               usable: _Usable) -> bool:
+        """Try one transitivity step; True if the closure grew."""
+        engine = self.engine
+        engine._attempts += 1
+        _COUNTERS["attempts"] += 1
+        pairs = _step(engine.nonempty, self.relation, usable, key,
+                      closure_set)
+        if pairs is None:
+            return False
+        closure_set.add(usable.rhs)
+        engine._successes += 1
+        self.provenance.setdefault(key, {})[usable.rhs] = (usable, pairs)
+        return True
+
+    def _drain(self) -> None:
+        """Drain deltas through the trigger index.
+
+        Work items, in priority order: broadcast a new usable to every
+        query, offer the empty-LHS usables to a fresh query, or process
+        one query's delta — re-checking the singleton candidates
+        watching that query and re-attempting exactly the usables whose
+        LHS (or a coverable prefix of it) intersects the delta.  Every
+        path enters a query's delta at most once, so the loop
+        terminates, and any step a global rescan could take is attempted
+        no later than when the last closure path it needs arrives.
+        """
+        engine = self.engine
+        queries = self.queries
+        dirty = self.dirty
+        new_usables = self.new_usables
+        fresh = self.fresh
+        candidate_index = engine._pool.candidate_index[self.relation]
+        while dirty or new_usables or fresh:
+            engine._rounds += 1
+            if new_usables:
+                usable = new_usables.pop()
+                for key in list(queries):
+                    if self._apply(key, queries[key], usable):
+                        dirty.setdefault(key, set()).add(usable.rhs)
+                continue
+            if fresh:
+                key = fresh.pop()
+                closure_set = queries[key]
+                for usable in self.empty_lhs:
+                    if self._apply(key, closure_set, usable):
+                        dirty.setdefault(key, set()).add(usable.rhs)
+                continue
+            key, delta = dirty.popitem()
+            closure_set = queries[key]
+            for candidate in candidate_index.get(key, ()):
+                if candidate.key() in self.activated:
+                    continue
+                if candidate.targets & delta and \
+                        candidate.targets <= closure_set:
+                    self.activated.add(candidate.key())
+                    self._register(candidate.usable, broadcast=True)
+                    for variant in _localizations(
+                            self.relation, candidate.usable,
+                            engine.nonempty):
+                        self._register(variant, broadcast=True)
+            attempted: set = set()
+            for path in delta:
+                for usable in self.trigger.get(path, ()):
+                    # an rhs already derived needs no attempt; one
+                    # attempt per usable per delta suffices
+                    if usable.rhs in closure_set or usable in attempted:
+                        continue
+                    attempted.add(usable)
+                    if self._apply(key, closure_set, usable):
+                        dirty.setdefault(key, set()).add(usable.rhs)
+
+
+def _active_rows(rows) -> list:
+    """Table rows in the kernel's active form: each row's default mask
+    list is paired with its RHS bit once, so every query whose key does
+    not touch the row shares that one ``(rhs_bit, masks)`` tuple."""
+    return [(rhs_bit, members, union,
+             None if default is None else (rhs_bit, default))
+            for rhs_bit, members, union, default in rows]
+
+
 class _DenseState:
     """One relation's dense saturation state for one engine.
 
-    ``rows`` is the append-only active rule list: the shared tables'
-    rows for this engine's active members, the overlay members compiled
+    ``rows`` is the append-only active rule list (see
+    :func:`_active_rows`): the shared tables' rows for this engine's
+    active members, the overlay members compiled
     at state creation, then rows appended as singleton candidates
-    activate.  Each query carries its own *specialized* row list
-    (``qrows``): members already covered by the query key are dropped
-    and ``keyonly`` masks are resolved against the key up front, so the
-    hot loop tests nothing but ``acc & mask``.  ``qmark`` is the
-    per-query watermark into ``rows`` (rows appended later are
-    specialized on the query's next fixpoint).
+    activate (``pending`` holds the candidates not yet activated).
+    Each query carries its own *specialized* row list (``qrows``):
+    members already covered by the query key are dropped and
+    ``keyonly`` masks are resolved against the key up front, so the hot
+    loop tests nothing but ``acc & mask``.  ``qmark`` is the per-query
+    watermark into ``rows`` (rows appended later are specialized on the
+    query's next fixpoint).
     """
 
     __slots__ = ("tables", "rows", "acc", "keymask", "qrows", "qmark",
                  "cache", "pending", "unsaturated")
 
-    def __init__(self, tables: DenseTables, rows: list,
-                 pending: list[int]):
+    def __init__(self, tables: DenseTables, rows: list):
         self.tables = tables
         self.rows = rows
-        self.pending = pending
+        self.pending = list(range(len(tables.candidates)))
         self.acc: dict[frozenset[Path], int] = {}
         self.keymask: dict[frozenset[Path], int] = {}
         self.qrows: dict[frozenset[Path], list] = {}
@@ -524,45 +713,32 @@ class ClosureEngine:
         engine = ClosureEngine(schema, nfds)
         engine.implies(NFD.parse("R:A:[B -> E]"))       # True/False
         engine.closure(parse_path("R:A"), {parse_path("B")})
+        engine.explain(NFD.parse("R:A:[B -> E]"))       # why it holds
 
     The engine caches its saturation state, so asking many queries against
-    the same ``(schema, Sigma)`` is cheap after the first.
-
-    *strategy* selects the saturation algorithm: ``"worklist"`` (the
-    indexed semi-naive default), ``"naive"`` (the reference global
-    fixpoint; same results, more work — see :attr:`stats`), or
-    ``"dense"`` (the interned-bitmask kernel of
-    :mod:`repro.inference.dense`; same results, fastest for query
-    sweeps, but records no provenance — :meth:`explain` needs the
-    worklist).
+    the same ``(schema, Sigma)`` is cheap after the first.  Queries run on
+    the dense bitset kernel; :meth:`explain` (and
+    :func:`~repro.inference.proof_compiler.compile_proof`) additionally
+    run the proof-recording worklist for the relation they justify.
 
     Probing nearby Sigmas is copy-on-write: :meth:`without`,
     :meth:`with_added`, and :meth:`replace` return sibling engines that
-    share this engine's compiled pool (usables, trigger indexes, typed
-    path sets, singleton candidates) and compile only members the pool
-    has never seen.  For cross-query memoization on top of one engine,
-    see :class:`~repro.inference.session.ImplicationSession`.
+    share this engine's compiled pool (usables, dense tables, typed path
+    sets, singleton candidates) and compile only members the pool has
+    never seen.  For cross-query memoization on top of one engine, see
+    :class:`~repro.inference.session.ImplicationSession`.
     """
 
     def __init__(self, schema: Schema, sigma: Iterable[NFD],
                  nonempty: NonEmptySpec | None = None, *,
-                 strategy: str = "worklist", tracer=None, _cow=None):
-        if strategy not in STRATEGIES:
-            raise InferenceError(
-                f"unknown saturation strategy {strategy!r}; "
-                f"expected one of {', '.join(STRATEGIES)}"
-            )
+                 tracer=None, _cow=None):
         self.schema = schema
-        self.strategy = strategy
         self.nonempty = nonempty if nonempty is not None \
             else NonEmptySpec.all_nonempty()
         self.sigma = tuple(sigma)
         # Observability: a repro.obs.Tracer, or None (the default) for
-        # the untraced fast path.  Per-origin attempt/fire counters are
-        # maintained only while tracing (attached to saturation spans).
+        # the untraced fast path.
         self.tracer = tracer
-        self._origin_counts: dict[str, int] | None = \
-            {} if tracer is not None else None
 
         if _cow is None:
             for nfd in self.sigma:
@@ -583,45 +759,27 @@ class ClosureEngine:
             index for index in self._member_map if index is not None
         )
 
-        names = schema.relation_names
-        # Per-relation mutable state.
-        self._queries: dict[str, dict[frozenset[Path], set[Path]]] = {
-            n: {} for n in names
+        # Overlay: usables of members added or replaced after the pool
+        # was compiled.  They never touch the shared pool, so sibling
+        # engines are unaffected.
+        self._overlay: dict[str, list[_Usable]] = {
+            n: [] for n in schema.relation_names
         }
-        self._activated: dict[str, set] = {n: set() for n in names}
+        seen: set = set()
+        for own_index, pool_index in enumerate(self._member_map):
+            if pool_index is not None:
+                continue
+            nfd = self.sigma[own_index]
+            nfd.check_well_formed(schema)
+            relation, usables = _compile_member(nfd, self.nonempty)
+            for usable in usables:
+                if (relation, usable.key()) not in seen:
+                    seen.add((relation, usable.key()))
+                    self._overlay[relation].append(usable)
 
-        # Overlay pool: usables not backed by the shared pool — members
-        # added or replaced after the pool was compiled, plus singleton
-        # usables activated at runtime.  Mutations never touch the
-        # shared pool, so sibling engines are unaffected.
-        self._overlay_usables: dict[str, list[_Usable]] = {
-            n: [] for n in names
-        }
-        self._overlay_keys: dict[str, set] = {n: set() for n in names}
-        self._overlay_trigger: dict[str, dict[Path, list[_Usable]]] = {
-            n: {} for n in names
-        }
-        self._overlay_empty: dict[str, list[_Usable]] = {
-            n: [] for n in names
-        }
-
-        # Worklist state: pending deltas per query, usables not yet
-        # attempted against every query, queries not yet offered the
-        # empty-LHS usables, and whether the singleton premise queries
-        # have been created.
-        self._dirty: dict[str, dict[frozenset[Path], set[Path]]] = {
-            n: {} for n in names
-        }
-        self._new_usables: dict[str, list[_Usable]] = {
-            n: [] for n in names
-        }
-        self._fresh: dict[str, list[frozenset[Path]]] = {
-            n: [] for n in names
-        }
-        self._seeded: dict[str, bool] = {n: False for n in names}
-
-        # provenance: query key -> derived path -> (usable, used paths)
-        self._provenance: dict[str, dict] = {n: {} for n in names}
+        # per-relation saturation state, built on first use
+        self._dense_states: dict[str, _DenseState] = {}
+        self._recorders: dict[str, _ProofRecorder] = {}
 
         # counters behind the `stats` snapshot
         self._saturations = 0
@@ -631,21 +789,6 @@ class ClosureEngine:
         self._wall_time = 0.0
         self._mask_tests = 0
         self._dense_seeds = 0
-
-        # per-relation dense saturation state, built on first use
-        self._dense_states: dict[str, _DenseState] = {}
-
-        # Compile overlay members (no broadcast needed: the engine has
-        # no closure queries yet).
-        for own_index, pool_index in enumerate(self._member_map):
-            if pool_index is not None:
-                continue
-            nfd = self.sigma[own_index]
-            nfd.check_well_formed(schema)
-            relation, usables = _compile_member(nfd, self.nonempty)
-            for usable in usables:
-                if usable.key() not in self._overlay_keys[relation]:
-                    self._register(relation, usable, broadcast=False)
 
     def _check_index(self, index: int) -> None:
         if not 0 <= index < len(self.sigma):
@@ -658,9 +801,9 @@ class ClosureEngine:
         """A sibling engine over Sigma minus member *index*.
 
         Copy-on-write: shares this engine's compiled pool (usables,
-        trigger indexes, typed path sets, singleton candidates) and
-        masks the member out, so redundancy and cover computations that
-        probe each member against the rest avoid recompiling anything.
+        dense tables, typed path sets, singleton candidates) and masks
+        the member out, so redundancy and cover computations that probe
+        each member against the rest avoid recompiling anything.
         Saturation state is *not* shared — removing a member
         invalidates derived closures.
         """
@@ -669,8 +812,8 @@ class ClosureEngine:
         member_map = self._member_map[:index] + \
             self._member_map[index + 1:]
         return ClosureEngine(
-            self.schema, rest, self.nonempty, strategy=self.strategy,
-            tracer=self.tracer, _cow=(self._pool, member_map),
+            self.schema, rest, self.nonempty, tracer=self.tracer,
+            _cow=(self._pool, member_map),
         )
 
     def with_added(self, nfd: NFD) -> "ClosureEngine":
@@ -681,7 +824,7 @@ class ClosureEngine:
         """
         return ClosureEngine(
             self.schema, self.sigma + (nfd,), self.nonempty,
-            strategy=self.strategy, tracer=self.tracer,
+            tracer=self.tracer,
             _cow=(self._pool, self._member_map + (None,)),
         )
 
@@ -697,8 +840,8 @@ class ClosureEngine:
         member_map = self._member_map[:index] + (None,) + \
             self._member_map[index + 1:]
         return ClosureEngine(
-            self.schema, sigma, self.nonempty, strategy=self.strategy,
-            tracer=self.tracer, _cow=(self._pool, member_map),
+            self.schema, sigma, self.nonempty, tracer=self.tracer,
+            _cow=(self._pool, member_map),
         )
 
     # -- observability -----------------------------------------------------
@@ -713,41 +856,29 @@ class ClosureEngine:
     @property
     def stats(self) -> EngineStats:
         """A point-in-time :class:`EngineStats` snapshot."""
-        if self.strategy == "dense":
-            usables: dict[str, int] = {}
-            queries: dict[str, int] = {}
-            derived: dict[str, int] = {}
-            interned: dict[str, int] = {}
-            for relation in self.schema.relation_names:
-                state = self._dense_states.get(relation)
-                if state is None:
-                    usables[relation] = sum(
-                        1 for _ in self._all_usables(relation))
-                    queries[relation] = 0
-                    derived[relation] = 0
-                    interned[relation] = 0
-                else:
-                    usables[relation] = len(state.rows)
-                    queries[relation] = len(state.acc)
-                    derived[relation] = sum(
-                        mask.bit_count() - len(key)
-                        for key, mask in state.acc.items()
-                    )
-                    interned[relation] = len(state.tables.paths)
-        else:
-            usables = {r: sum(1 for _ in self._all_usables(r))
-                       for r in self.schema.relation_names}
-            queries = {r: len(q) for r, q in self._queries.items()}
-            derived = {
-                relation: sum(
-                    len(closure_set) - len(key)
-                    for key, closure_set in relation_queries.items()
-                )
-                for relation, relation_queries in self._queries.items()
-            }
-            interned = {}
+        usables: dict[str, int] = {}
+        activated: dict[str, int] = {}
+        queries: dict[str, int] = {}
+        derived: dict[str, int] = {}
+        interned: dict[str, int] = {}
+        for relation in self.schema.relation_names:
+            state = self._dense_states.get(relation)
+            if state is None:
+                usables[relation] = sum(
+                    1 for _ in self._all_usables(relation))
+                activated[relation] = queries[relation] = 0
+                derived[relation] = interned[relation] = 0
+                continue
+            usables[relation] = len(state.rows)
+            activated[relation] = \
+                len(state.tables.candidates) - len(state.pending)
+            queries[relation] = len(state.acc)
+            derived[relation] = sum(
+                mask.bit_count() - len(key)
+                for key, mask in state.acc.items()
+            )
+            interned[relation] = len(state.tables.paths)
         return EngineStats(
-            strategy=self.strategy,
             saturations=self._saturations,
             rounds=self._rounds,
             attempts=self._attempts,
@@ -756,7 +887,7 @@ class ClosureEngine:
             usables=usables,
             candidates={r: len(c)
                         for r, c in self._pool.candidates.items()},
-            activated={r: len(a) for r, a in self._activated.items()},
+            activated=activated,
             queries=queries,
             derived=derived,
             mask_tests=self._mask_tests,
@@ -772,339 +903,66 @@ class ClosureEngine:
         for member, usable in self._pool.by_relation.get(relation, ()):
             if member in self._active:
                 yield usable
-        yield from self._overlay_usables[relation]
-
-    def _triggered(self, relation: str, path: Path):
-        """The active usables whose LHS (or a coverable prefix of one
-        of its members) contains *path*."""
-        pool_hits = self._pool.trigger.get(relation, {}).get(path)
-        if pool_hits:
-            for member, usable in pool_hits:
-                if member in self._active:
-                    yield usable
-        overlay_hits = self._overlay_trigger[relation].get(path)
-        if overlay_hits:
-            yield from overlay_hits
-
-    def _empty_lhs_usables(self, relation: str):
-        for member, usable in self._pool.empty_lhs.get(relation, ()):
-            if member in self._active:
-                yield usable
-        yield from self._overlay_empty[relation]
-
-    def _add_usable(self, relation: str, usable: _Usable) -> None:
-        """Add a runtime usable (an activated singleton NFD) plus its
-        admissible localized variants to the overlay."""
-        if usable.key() in self._overlay_keys[relation]:
-            return
-        self._register(relation, usable, broadcast=True)
-        for variant in _localizations(relation, usable, self.nonempty):
-            if variant.key() not in self._overlay_keys[relation]:
-                self._register(relation, variant, broadcast=True)
-
-    def _register(self, relation: str, usable: _Usable,
-                  broadcast: bool) -> None:
-        """Book-keeping for one overlay member: the trigger index and —
-        when queries may already exist — the not-yet-broadcast list the
-        worklist drains."""
-        self._overlay_keys[relation].add(usable.key())
-        self._overlay_usables[relation].append(usable)
-        if usable.lhs:
-            trigger = self._overlay_trigger[relation]
-            for path in usable.trigger_paths():
-                trigger.setdefault(path, []).append(usable)
-        else:
-            self._overlay_empty[relation].append(usable)
-        if broadcast:
-            self._new_usables[relation].append(usable)
+        yield from self._overlay[relation]
 
     # -- saturation ----------------------------------------------------------
 
-    def _ensure(self, relation: str, key: frozenset[Path],
-                seed: Iterable[Path] = ()) -> set[Path]:
-        queries = self._queries[relation]
-        closure_set = queries.get(key)
-        if closure_set is None:
-            closure_set = set(key)
-            closure_set.update(seed)
-            queries[key] = closure_set
-            self._dirty[relation].setdefault(key, set()).update(
-                closure_set)
-            self._fresh[relation].append(key)
-        return closure_set
+    def _saturate(self, relation: str, drain) -> None:
+        """Run one saturation loop (*drain*), charging the counters."""
+        if self.tracer is None:
+            started = time.perf_counter()
+            self._saturations += 1
+            _COUNTERS["saturations"] += 1
+            drain()
+            self._wall_time += time.perf_counter() - started
+            return
+        # When a span is already open (a ``session.miss``, an analysis
+        # sweep) the saturation is its 1:1 inner step, so the deltas
+        # are charged to that span instead of opening a duplicate one;
+        # only a *root* saturation opens its own ``closure.saturate``.
+        current = self.tracer.current
+        if current is not None:
+            self._saturate_counted(current, drain)
+            return
+        with self.tracer.span("closure.saturate",
+                              relation=relation) as span:
+            self._saturate_counted(span, drain)
+
+    def _saturate_counted(self, span, drain) -> None:
+        """Run one saturation, adding counter deltas to *span*."""
+        before_attempts = self._attempts
+        before_successes = self._successes
+        before_rounds = self._rounds
+        started = time.perf_counter()
+        self._saturations += 1
+        _COUNTERS["saturations"] += 1
+        drain()
+        self._wall_time += time.perf_counter() - started
+        span.add("saturations")
+        span.add("attempts", self._attempts - before_attempts)
+        span.add("successes", self._successes - before_successes)
+        span.add("rounds", self._rounds - before_rounds)
 
     def forget_query(self, relation: str, key: frozenset[Path]) -> bool:
         """Drop a saturated closure query (memo-eviction support).
 
         Returns True when the query was dropped.  Singleton premise
         queries are retained — they drive candidate activation and are
-        created only once per relation — as are unknown keys.  Dropping
-        a query discards its provenance, so ``explain`` can no longer
-        justify conclusions that depended on it.
+        created only once per relation — as are unknown keys.
         """
         if key in self._pool.candidate_index[relation]:
             return False
-        if self.strategy == "dense":
-            state = self._dense_states.get(relation)
-            if state is None or key not in state.acc:
-                return False
-            del state.acc[key]
-            del state.keymask[key]
-            state.qrows.pop(key, None)
-            state.qmark.pop(key, None)
-            state.cache.pop(key, None)
-            if key in state.unsaturated:  # defensive: never saturated
-                state.unsaturated = [k for k in state.unsaturated
-                                     if k != key]
-            return True
-        queries = self._queries[relation]
-        if key not in queries:
+        state = self._dense_states.get(relation)
+        if state is None or key not in state.acc:
             return False
-        del queries[key]
-        self._dirty[relation].pop(key, None)
-        self._provenance[relation].pop(key, None)
-        fresh = self._fresh[relation]
-        if key in fresh:  # defensive: never-saturated query
-            self._fresh[relation] = [k for k in fresh if k != key]
+        del state.acc[key]
+        del state.keymask[key]
+        state.qrows.pop(key, None)
+        state.qmark.pop(key, None)
+        state.cache.pop(key, None)
+        if key in state.unsaturated:  # defensive: never saturated
+            state.unsaturated = [k for k in state.unsaturated if k != key]
         return True
-
-    def _coverage(self, relation: str, member: Path,
-                  key: frozenset[Path], closure_set: set[Path],
-                  rhs: Path) -> Path | None:
-        """The covering path to use for one LHS member, or None.
-
-        A covering path is *member* itself, or — through the prefix
-        rule — a non-empty proper prefix ``member[:k]`` that is in the
-        closure and not a prefix of *rhs*; in gated mode shortening to
-        ``member[:k]`` additionally requires every shortening result
-        ``member[:j]``, ``k <= j < len(member)``, declared non-empty,
-        and any covering path must pass the Section 3.2 transitivity
-        gate (be part of the query key, follow *rhs*, or be always
-        defined).  All admissible options are considered — each
-        corresponds to a valid derivation — preferring *member* itself,
-        then the longest admissible prefix.
-        """
-        gated = not self.nonempty.declares_everything
-        if member in closure_set and (
-                not gated or
-                self._intermediate_ok(relation, member, key, rhs)):
-            return member
-        for k in range(len(member) - 1, 0, -1):
-            shortened = member[:k]
-            if gated and not self.nonempty.is_declared(relation,
-                                                       shortened):
-                # shortening past this position is gated off, and every
-                # shorter prefix would have to shorten through it
-                return None
-            if shortened in closure_set and \
-                    not shortened.is_prefix_of(rhs) and (
-                        not gated or
-                        self._intermediate_ok(relation, shortened, key,
-                                              rhs)):
-                return shortened
-        return None
-
-    def _intermediate_ok(self, relation: str, used: Path,
-                         key: frozenset[Path], rhs: Path) -> bool:
-        """Section 3.2 transitivity gate for one intermediate path."""
-        return used in key or used.follows(rhs) or \
-            self.nonempty.always_defined(relation, used)
-
-    def _apply_usable(self, relation: str, key: frozenset[Path],
-                      closure_set: set[Path], usable: _Usable) -> bool:
-        """Try one transitivity step; returns True if the closure grew."""
-        self._attempts += 1
-        _COUNTERS["attempts"] += 1
-        origin_counts = self._origin_counts
-        if origin_counts is not None:
-            entry = origin_counts.get(usable.origin)
-            if entry is None:
-                entry = origin_counts[usable.origin] = [0, 0]
-            entry[0] += 1
-        if usable.rhs in closure_set:
-            return False
-        member_pairs: list[tuple[Path, Path]] = []
-        for member in usable.lhs:
-            found = self._coverage(relation, member, key, closure_set,
-                                   usable.rhs)
-            if found is None:
-                return False
-            member_pairs.append((member, found))
-        closure_set.add(usable.rhs)
-        self._successes += 1
-        if origin_counts is not None:
-            entry[1] += 1
-        self._provenance[relation].setdefault(key, {})[usable.rhs] = \
-            (usable, tuple(member_pairs))
-        return True
-
-    def _saturate(self, relation: str) -> None:
-        if self.tracer is None:
-            started = time.perf_counter()
-            self._saturations += 1
-            _COUNTERS["saturations"] += 1
-            if self.strategy == "naive":
-                self._saturate_naive(relation)
-            elif self.strategy == "dense":
-                self._saturate_dense(relation)
-            else:
-                self._saturate_worklist(relation)
-            self._wall_time += time.perf_counter() - started
-            return
-        self._saturate_traced(relation)
-
-    def _saturate_traced(self, relation: str) -> None:
-        """The saturation loop with per-rule counter deltas recorded.
-
-        When a span is already open (a ``session.miss``, an analysis
-        sweep) the saturation is its 1:1 inner step, so the deltas are
-        charged to that span instead of opening a duplicate one — a
-        span per saturation on top of a span per miss roughly doubles
-        the trace for no information.  Only a *root* saturation (engine
-        used directly, no enclosing span) opens its own
-        ``closure.saturate`` span."""
-        tracer = self.tracer
-        current = tracer.current
-        if current is not None:
-            self._saturate_counted(relation, current)
-            return
-        with tracer.span("closure.saturate", relation=relation,
-                         strategy=self.strategy) as span:
-            self._saturate_counted(relation, span)
-
-    def _saturate_counted(self, relation: str, span) -> None:
-        """Run one saturation, adding counter deltas to *span*."""
-        before_attempts = self._attempts
-        before_successes = self._successes
-        before_rounds = self._rounds
-        origin_counts = self._origin_counts
-        origin_before = {origin: (entry[0], entry[1])
-                         for origin, entry in origin_counts.items()}
-        started = time.perf_counter()
-        self._saturations += 1
-        _COUNTERS["saturations"] += 1
-        if self.strategy == "naive":
-            self._saturate_naive(relation)
-        elif self.strategy == "dense":
-            self._saturate_dense(relation)
-        else:
-            self._saturate_worklist(relation)
-        self._wall_time += time.perf_counter() - started
-        add = span.add
-        add("saturations")
-        add("attempts", self._attempts - before_attempts)
-        add("successes", self._successes - before_successes)
-        add("rounds", self._rounds - before_rounds)
-        for origin, entry in origin_counts.items():
-            was = origin_before.get(origin, (0, 0))
-            if entry[0] != was[0]:
-                add("attempts." + origin, entry[0] - was[0])
-            if entry[1] != was[1]:
-                add("fires." + origin, entry[1] - was[1])
-
-    def _saturate_worklist(self, relation: str) -> None:
-        """Semi-naive saturation: drain deltas through the trigger index.
-
-        Work items, in priority order: broadcast a new usable to every
-        query, offer the empty-LHS usables to a fresh query, or process
-        one query's delta — re-checking the singleton candidates watching
-        that query and re-attempting exactly the usables whose LHS (or a
-        coverable prefix of it) intersects the delta.  Every path enters
-        a query's delta at most once, so the loop terminates, and any
-        step the naive fixpoint could take is attempted no later than
-        when the last closure path it needs arrives.
-        """
-        if not self._seeded[relation]:
-            self._seeded[relation] = True
-            for candidate in self._pool.candidates[relation]:
-                self._ensure(relation, candidate.premise_lhs)
-        queries = self._queries[relation]
-        activated = self._activated[relation]
-        dirty = self._dirty[relation]
-        new_usables = self._new_usables[relation]
-        fresh = self._fresh[relation]
-        candidate_index = self._pool.candidate_index[relation]
-        while dirty or new_usables or fresh:
-            self._rounds += 1
-            if new_usables:
-                usable = new_usables.pop()
-                for key in list(queries):
-                    if usable.rhs in queries[key]:
-                        continue
-                    if self._apply_usable(relation, key, queries[key],
-                                          usable):
-                        dirty.setdefault(key, set()).add(usable.rhs)
-                continue
-            if fresh:
-                key = fresh.pop()
-                closure_set = queries[key]
-                for usable in self._empty_lhs_usables(relation):
-                    if usable.rhs in closure_set:
-                        continue
-                    if self._apply_usable(relation, key, closure_set,
-                                          usable):
-                        dirty.setdefault(key, set()).add(usable.rhs)
-                continue
-            key, delta = dirty.popitem()
-            closure_set = queries[key]
-            for candidate in candidate_index.get(key, ()):
-                if candidate.key() in activated:
-                    continue
-                if not candidate.targets & delta:
-                    continue
-                if candidate.targets <= closure_set:
-                    activated.add(candidate.key())
-                    self._add_usable(relation, candidate.usable)
-            attempted: set = set()
-            for path in delta:
-                for usable in self._triggered(relation, path):
-                    # an rhs already derived needs no attempt — crucial
-                    # for seeded queries, whose initial delta re-triggers
-                    # the (already closed) seed set
-                    if usable.rhs in closure_set:
-                        continue
-                    # dedup by (lhs, rhs): the shared pool may carry the
-                    # same usable from two Sigma members, and one attempt
-                    # per delta suffices for a given step
-                    mark = usable.key()
-                    if mark in attempted:
-                        continue
-                    attempted.add(mark)
-                    if self._apply_usable(relation, key, closure_set,
-                                          usable):
-                        dirty.setdefault(key, set()).add(usable.rhs)
-
-    def _saturate_naive(self, relation: str) -> None:
-        """The reference global fixpoint: rescan every candidate and
-        re-attempt every usable against every query until stable."""
-        queries = self._queries[relation]
-        candidates = self._pool.candidates[relation]
-        activated = self._activated[relation]
-        while True:
-            self._rounds += 1
-            changed = False
-            for candidate in candidates:
-                if candidate.key() in activated:
-                    continue
-                premise_closure = self._ensure(relation,
-                                               candidate.premise_lhs)
-                if candidate.targets <= premise_closure:
-                    activated.add(candidate.key())
-                    self._add_usable(relation, candidate.usable)
-                    changed = True
-            usable_pool = list(self._all_usables(relation))
-            for key in list(queries):
-                closure_set = queries[key]
-                for usable in usable_pool:
-                    if self._apply_usable(relation, key, closure_set,
-                                          usable):
-                        changed = True
-            if not changed:
-                # consume the book-keeping the worklist strategy drains
-                self._dirty[relation].clear()
-                self._new_usables[relation].clear()
-                self._fresh[relation].clear()
-                return
 
     # -- dense kernel ------------------------------------------------------
 
@@ -1115,42 +973,43 @@ class ClosureEngine:
             rows: list = []
             for index in sorted(self._active):
                 rows.extend(tables.member_rows[index])
-            for usable in self._overlay_usables[relation]:
+            for usable in self._overlay[relation]:
                 rows.append(compile_row(tables.ids, relation,
                                         usable.lhs, usable.rhs,
                                         self.nonempty))
-            activated = self._activated[relation]
-            pending = [index for index, entry
-                       in enumerate(tables.candidates)
-                       if entry[3] not in activated]
-            state = _DenseState(tables, rows, pending)
+            state = _DenseState(tables, _active_rows(rows))
             self._dense_states[relation] = state
+            # the singleton premise queries drive candidate activation
+            for candidate in self._pool.candidates[relation]:
+                if candidate.premise_lhs not in state.acc:
+                    self._dense_query(state, relation,
+                                      candidate.premise_lhs)
         return state
 
-    def _dense_ensure(self, relation: str, key: frozenset[Path],
-                      seed: Iterable[Path] = ()) -> None:
-        """Create a dense query: intern the key (and seed) to masks."""
-        state = self._dense_state(relation)
-        if key in state.acc:
-            return
+    def _dense_query(self, state: _DenseState, relation: str,
+                     key: frozenset[Path], seed: int | None = None) \
+            -> None:
+        """Create a dense query: intern the key, OR in the seed mask."""
         ids = state.tables.ids
         keymask = 0
         for path in key:
-            keymask |= 1 << ids[path]
+            bit = ids.get(path)
+            if bit is None:
+                raise InferenceError(
+                    f"path {path} is not well-typed in relation "
+                    f"{relation!r}")
+            keymask |= 1 << bit
         accmask = keymask
-        seeded = False
-        for path in seed:
-            accmask |= 1 << ids[path]
-            seeded = True
-        if seeded:
+        if seed is not None:
             self._dense_seeds += 1
+            accmask |= seed
         state.acc[key] = accmask
         state.keymask[key] = keymask
         state.qrows[key] = []
         state.qmark[key] = 0
         state.unsaturated.append(key)
 
-    def _saturate_dense(self, relation: str) -> None:
+    def _drain_dense(self, state: _DenseState) -> None:
         """Saturate via the interned-bitmask kernel.
 
         New queries run their own mask fixpoint; singleton candidates
@@ -1158,21 +1017,10 @@ class ClosureEngine:
         target mask, appending precompiled rows to the active list and
         re-running every query's fixpoint (per-query watermarks pick up
         exactly the appended rows).  The alternation repeats until no
-        activation fires and no query grows — the same least fixpoint
-        the object strategies reach, because both saturate the same
-        monotone step operator over the same rule pool.
+        activation fires and no query grows — the least fixpoint of the
+        monotone step operator over the rule pool.
         """
-        state = self._dense_state(relation)
-        if not self._seeded[relation]:
-            self._seeded[relation] = True
-            for candidate in self._pool.candidates[relation]:
-                self._dense_ensure(relation, candidate.premise_lhs)
-        # the object-worklist book-keeping has no dense meaning
-        self._dirty[relation].clear()
-        self._new_usables[relation].clear()
-        self._fresh[relation].clear()
         acc = state.acc
-        activated = self._activated[relation]
         while True:
             progress = False
             while state.unsaturated:
@@ -1181,18 +1029,15 @@ class ClosureEngine:
                     progress = True
             if state.pending:
                 still: list[int] = []
-                fired = False
                 for index in state.pending:
-                    premise_key, target_mask, rows, cand_key = \
+                    premise_key, target_mask, rows, _ = \
                         state.tables.candidates[index]
                     if acc.get(premise_key, 0) & target_mask \
                             == target_mask:
-                        activated.add(cand_key)
-                        state.rows.extend(rows)
-                        fired = True
+                        state.rows.extend(_active_rows(rows))
                     else:
                         still.append(index)
-                if fired:
+                if len(still) < len(state.pending):
                     state.pending = still
                     # new rows may fire anywhere: revisit every query
                     state.unsaturated.extend(acc)
@@ -1211,10 +1056,10 @@ class ClosureEngine:
             # covered by the key drop out, keyonly masks resolve now;
             # rows the key doesn't touch reuse the shared default list
             keymask = state.keymask[key]
-            for rhs_bit, members, union, default in active[mark:]:
+            for rhs_bit, members, union, plain in active[mark:]:
                 if not keymask & union:
-                    if default is not None:
-                        qrows.append((rhs_bit, default))
+                    if plain is not None:
+                        qrows.append(plain)
                     continue
                 masks = []
                 dead = False
@@ -1262,16 +1107,14 @@ class ClosureEngine:
         self._successes += (acc ^ start).bit_count()
         return True
 
-    def _dense_result(self, relation: str,
+    def _dense_result(self, state: _DenseState,
                       key: frozenset[Path]) -> frozenset[Path]:
         """Materialize a saturated dense query back into paths."""
-        state = self._dense_states[relation]
         mask = state.acc[key]
         cached = state.cache.get(key)
         if cached is not None and cached[0] == mask:
             return cached[1]
-        paths = state.tables.paths
-        result = frozenset(paths[i] for i in bit_indices(mask))
+        result = mask_paths(state.tables.paths, mask)
         state.cache[key] = (mask, result)
         return result
 
@@ -1296,10 +1139,31 @@ class ClosureEngine:
         plain and the gated systems, because enlarging the query key
         only loosens the Section 3.2 gates).  Passing paths outside
         ``CL(L)`` is unsound and the engine does not check for it.
-        Seeded paths carry no provenance, so :meth:`explain` cannot
-        justify conclusions that rest on them;
         :class:`~repro.inference.session.ImplicationSession` uses this
         for cross-query seed reuse.
+        """
+        if relation not in self.schema:
+            raise InferenceError(f"unknown relation {relation!r}")
+        key = frozenset(lhs)
+        state = self._dense_state(relation)
+        if key not in state.acc:
+            ids = state.tables.ids
+            seed_mask = None
+            for path in seed:
+                seed_mask = (seed_mask or 0) | 1 << ids[path]
+            self._dense_query(state, relation, key, seed_mask)
+        self._saturate(relation, lambda: self._drain_dense(state))
+        return self._dense_result(state, key)
+
+    def proof_closure(self, relation: str, lhs: Iterable[Path]) \
+            -> frozenset[Path]:
+        """``CL(L)`` computed by the proof-recording worklist.
+
+        Equal to :meth:`closure_simple` (same rules, same fixpoint), but
+        every derived path keeps a recorded justification — the state
+        :meth:`explain` and
+        :func:`~repro.inference.proof_compiler.compile_proof` read.
+        Slower than the dense kernel; no query path uses it.
         """
         if relation not in self.schema:
             raise InferenceError(f"unknown relation {relation!r}")
@@ -1308,15 +1172,15 @@ class ClosureEngine:
             if path not in self._pool.paths[relation]:
                 raise InferenceError(
                     f"path {path} is not well-typed in relation "
-                    f"{relation!r}"
-                )
-        if self.strategy == "dense":
-            self._dense_ensure(relation, key, seed)
-            self._saturate(relation)
-            return self._dense_result(relation, key)
-        self._ensure(relation, key, seed)
-        self._saturate(relation)
-        return frozenset(self._queries[relation][key])
+                    f"{relation!r}")
+        return self._recorder(relation).closure(key)
+
+    def _recorder(self, relation: str) -> _ProofRecorder:
+        recorder = self._recorders.get(relation)
+        if recorder is None:
+            recorder = _ProofRecorder(self, relation)
+            self._recorders[relation] = recorder
+        return recorder
 
     def _push_in(self, base: Path, lhs: Iterable[Path]):
         """The simple-form translation of a closure query at *base*:
@@ -1340,14 +1204,13 @@ class ClosureEngine:
         if ybar.is_empty:
             # relation-name base: stripping an empty prefix is the
             # identity and the closure never contains the empty path,
-            # so the simple closure IS the local reading (the gated
-            # branch below also returns `result` unchanged here)
+            # so the simple closure IS the local reading
             return simple_closure
         result = frozenset(
             p.strip_prefix(ybar) for p in simple_closure
             if ybar.is_proper_prefix_of(p)
         )
-        if self.nonempty.declares_everything or ybar.is_empty:
+        if self.nonempty.declares_everything:
             return result
         # Base-chain gate: a set at depth >= 2 of the chain can be empty
         # in one branch while a sibling branch carries a live local
@@ -1410,9 +1273,9 @@ class ClosureEngine:
         Answers are identical to mapping :meth:`closure` over the
         batch, but the engine visits the simple-form keys in subset
         order (ascending size, then canonical text) and seeds each
-        saturation from the largest already-computed closure of a
-        strict subset key — sound by monotonicity of ``CL`` exactly as
-        in :meth:`closure_simple_seeded` — so a sweep of overlapping
+        saturation from the already-computed closures of its drop-one
+        subsets — sound by monotonicity of ``CL`` exactly as in
+        :meth:`closure_simple_seeded` — so a sweep of overlapping
         queries pays for the *new* derivations only.  Results come back
         in input order.
         """
@@ -1454,16 +1317,16 @@ class ClosureEngine:
         every path of *targets*, for each candidate?
 
         Answers equal ``[targets <= closure(base, c) for c in
-        candidates]``.  At a relation-name base the dense strategy
-        reads each verdict straight off the saturated accumulator mask
-        — no closure is ever materialized back into path objects, which
-        is the dominant non-kernel cost of a key sweep.  Other
-        strategies (and nested bases, whose pull-out gating needs the
-        path-level reading) route through :meth:`closure_many`.
+        candidates]``.  At a relation-name base each verdict is read
+        straight off the saturated accumulator mask — no closure is
+        ever materialized back into path objects, which is the dominant
+        non-kernel cost of a key sweep.  Nested bases, whose pull-out
+        gating needs the path-level reading, route through
+        :meth:`closure_many`.
         """
         target_set = frozenset(targets)
         prepared = [frozenset(candidate) for candidate in candidates]
-        if self.strategy == "dense" and queries_base.tail.is_empty \
+        if queries_base.tail.is_empty \
                 and queries_base.first in self.schema:
             return self._covers_many_dense(queries_base.first, prepared,
                                            target_set)
@@ -1474,9 +1337,9 @@ class ClosureEngine:
     def _covers_many_dense(self, relation: str,
                            keys: list[frozenset[Path]],
                            targets: frozenset[Path]) -> list[bool]:
-        """Mask-only sweep: saturate each candidate in subset order with
-        drop-one mask seeding, then answer every verdict with one
-        ``acc & target == target`` test."""
+        """Mask-only sweep: saturate the candidates one size level at a
+        time (smallest first) with drop-one mask seeding, then answer
+        every verdict with one ``acc & target == target`` test."""
         state = self._dense_state(relation)
         ids = state.tables.ids
         target_mask = 0
@@ -1487,42 +1350,28 @@ class ClosureEngine:
                     f"path {path} is not well-typed in relation "
                     f"{relation!r}")
             target_mask |= 1 << bit
-        order = sorted(
-            range(len(keys)),
-            key=lambda i: (len(keys[i]),
-                           tuple(sorted(str(p) for p in keys[i])))
-        )
         acc = state.acc
-        for i in order:
-            key = keys[i]
+        drain = lambda: self._drain_dense(state)  # noqa: E731
+        size = None
+        for key in sorted(keys, key=len):
             if key in acc:
                 continue
-            keymask = 0
-            for path in key:
-                bit = ids.get(path)
-                if bit is None:
-                    raise InferenceError(
-                        f"path {path} is not well-typed in relation "
-                        f"{relation!r}")
-                keymask |= 1 << bit
-            # drop-one probes: sub-combinations sort earlier and are
-            # already saturated; their masks are sound seeds by
-            # monotonicity of CL, no path objects involved
-            accmask = keymask
-            seeded = False
+            if len(key) != size:
+                # the smaller keys seed this size level: saturate them
+                # first, then the whole level in one saturation
+                if state.unsaturated:
+                    self._saturate(relation, drain)
+                size = len(key)
+            # drop-one probes: sub-combinations are already saturated;
+            # their masks are sound seeds by monotonicity of CL
+            seed = None
             for path in key:
                 sub = acc.get(key - {path})
                 if sub is not None:
-                    accmask |= sub
-                    seeded = True
-            if seeded:
-                self._dense_seeds += 1
-            acc[key] = accmask
-            state.keymask[key] = keymask
-            state.qrows[key] = []
-            state.qmark[key] = 0
-            state.unsaturated.append(key)
-            self._saturate(relation)
+                    seed = sub if seed is None else seed | sub
+            self._dense_query(state, relation, key, seed)
+        if state.unsaturated:
+            self._saturate(relation, drain)
         self._mask_tests += len(keys)
         return [acc[key] & target_mask == target_mask for key in keys]
 
@@ -1548,7 +1397,7 @@ class ClosureEngine:
 
     def usable_pool(self, relation: str) -> list[tuple[frozenset[Path],
                                                        Path, str]]:
-        """Introspection: the current usable-NFD pool (for debugging)."""
+        """Introspection: the Sigma-derived usable pool (for debugging)."""
         return [(u.lhs, u.rhs, u.origin)
                 for u in self._all_usables(relation)]
 
@@ -1557,17 +1406,13 @@ class ClosureEngine:
     def explain(self, nfd: NFD) -> "Explanation":
         """A human-readable justification of why *nfd* is implied.
 
-        Reconstructs the saturation steps from the engine's provenance:
-        each derived path points at the usable NFD that produced it
-        (a Sigma member, a full-locality variant, or a gated singleton
-        NFD) and, recursively, at the justifications of the paths its
-        LHS needed.  Raises :class:`InferenceError` when the NFD is not
-        implied.
+        Runs the proof-recording worklist for the NFD's simple form and
+        reconstructs the saturation steps from its provenance: each
+        derived path points at the usable NFD that produced it (a Sigma
+        member, a full-locality variant, or a gated singleton NFD) and,
+        recursively, at the justifications of the paths its LHS needed.
+        Raises :class:`InferenceError` when the NFD is not implied.
         """
-        if self.strategy == "dense":
-            raise InferenceError(
-                "the dense strategy records no provenance; build the "
-                "engine with strategy='worklist' for explain/prove")
         if not self.implies(nfd):
             raise InferenceError(
                 f"{nfd} is not implied; ask find_countermodel for a "
@@ -1576,11 +1421,12 @@ class ClosureEngine:
         relation = nfd.relation
         simple = to_simple(nfd)
         key = frozenset(simple.lhs)
+        self.proof_closure(relation, key)
         return Explanation(self, nfd, relation, key, simple.rhs)
 
 
 class Explanation:
-    """A lazy justification tree over the engine's provenance."""
+    """A lazy justification tree over the engine's recorded provenance."""
 
     def __init__(self, engine: ClosureEngine, nfd: NFD, relation: str,
                  key: frozenset[Path], target: Path):
@@ -1598,11 +1444,13 @@ class Explanation:
                 f"  in simple form (push-in): {simple}"
             )
         seen: set[tuple] = set()
-        self._justify(self.target, self.key, 1, lines, seen)
+        provenance = self.engine._recorder(self.relation).provenance
+        self._justify(provenance, self.target, self.key, 1, lines, seen)
         return "\n".join(lines)
 
-    def _justify(self, path: Path, key: frozenset[Path], depth: int,
-                 lines: list[str], seen: set[tuple]) -> None:
+    def _justify(self, provenance: dict, path: Path,
+                 key: frozenset[Path], depth: int, lines: list[str],
+                 seen: set[tuple]) -> None:
         pad = "  " * depth
         slot = (key, path)
         if path in key:
@@ -1612,8 +1460,7 @@ class Explanation:
             lines.append(f"{pad}{path}: shown above")
             return
         seen.add(slot)
-        record = self.engine._provenance[self.relation] \
-            .get(key, {}).get(path)
+        record = provenance.get(key, {}).get(path)
         if record is None:  # pragma: no cover - defensive
             lines.append(f"{pad}{path}: (no recorded step)")
             return
@@ -1635,7 +1482,7 @@ class Explanation:
                     f"{pad}  {member} covered via its prefix {used} "
                     "(prefix rule)"
                 )
-            self._justify(used, key, depth + 1, lines, seen)
+            self._justify(provenance, used, key, depth + 1, lines, seen)
 
     def __str__(self) -> str:
         return self.to_text()

@@ -1,11 +1,13 @@
-"""The dense bitset closure kernel (``strategy="dense"``).
+"""The dense bitset closure kernel: the engine's one query path.
 
-The worklist strategy of :mod:`repro.inference.closure` saturates over
-an object graph: frozensets of :class:`~repro.paths.path.Path`, trigger
-dictionaries keyed by paths, per-delta hashing.  For the analysis
-sweeps — every candidate key, every cover probe, every Armstrong
-subset — that object traffic dominates the wall clock.  This module
-compiles the same rule system down to flat integers:
+Every closure, implication, key and cover query of
+:class:`~repro.inference.closure.ClosureEngine` runs here.  Saturating
+over an object graph — frozensets of :class:`~repro.paths.path.Path`,
+trigger dictionaries keyed by paths, per-delta hashing — is what the
+engine's proof-recording worklist still does (it has to: proofs name
+the path objects), but for query streams that object traffic dominates
+the wall clock.  This module compiles the rule system down to flat
+integers:
 
 * **interning** — the universe of one relation is the prefix-closed set
   ``Paths_SC(R)`` of its well-typed paths (every closure, every query
@@ -19,8 +21,8 @@ compiles the same rule system down to flat integers:
   *unconditionally* (plain mode, or the path follows ``r``, or it is
   always defined), while ``keyonly_mask`` holds the shortenings that
   are admissible only by being part of the query key.  The coverage
-  test of the object engine — "some admissible covering path is in the
-  closure" — becomes ``acc & uncond`` (the key is a subset of every
+  test of the object-level step rule — "some admissible covering path
+  is in the closure" — becomes ``acc & uncond`` (the key is a subset of every
   closure, so a nonzero ``keyonly & key_mask`` is decided per query,
   before the hot loop);
 * **gated-coverage compilation** — the chain condition of the gated
@@ -29,7 +31,7 @@ compiles the same rule system down to flat integers:
   static property of ``(member, nonempty)``, so the compiler simply
   stops emitting shortenings at the first undeclared position, and
   prefixes of ``r`` are never emitted — exactly the candidates the
-  object engine's ``_coverage`` considers, bit for bit.
+  object-level ``_coverage`` considers, bit for bit.
 
 Saturation is then a fixpoint of ``if acc & rhs_bit: skip; elif all
 masks intersect acc: acc |= rhs_bit`` — no hashing, no frozensets, no
@@ -47,13 +49,13 @@ top later, but the portable kernel never requires it.
 
 from __future__ import annotations
 
-from typing import Iterator
+from itertools import compress
 
 from ..paths.path import Path
 from .empty_sets import NonEmptySpec
 
 __all__ = ["DenseTables", "compile_tables", "compile_row", "mask_of",
-           "bit_indices"]
+           "mask_paths"]
 
 #: One flattened rule:
 #: ``(rhs_bit, members, union_mask, default_masks)`` where *members*
@@ -73,12 +75,19 @@ def mask_of(ids: dict[Path, int], paths) -> int:
     return mask
 
 
-def bit_indices(mask: int) -> Iterator[int]:
-    """The set bit positions of *mask*, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+#: ``bin()`` digits to selector bytes: ``"0"`` -> 0, ``"1"`` -> 1.
+_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def mask_paths(paths: tuple[Path, ...], mask: int) -> frozenset[Path]:
+    """The paths whose bits are set in *mask* (bit *i* is ``paths[i]``).
+
+    Reads the mask's binary digits least-significant first as a
+    selector for :func:`itertools.compress`, so the whole walk runs in
+    C — materializing a closure is a per-query cost of every caller
+    that wants paths back rather than a verdict."""
+    selector = bin(mask)[:1:-1].encode().translate(_DIGIT_BITS)
+    return frozenset(compress(paths, selector))
 
 
 def compile_row(ids: dict[Path, int], relation: str, lhs, rhs: Path,
@@ -86,7 +95,7 @@ def compile_row(ids: dict[Path, int], relation: str, lhs, rhs: Path,
     """Flatten one usable NFD ``[lhs -> rhs]`` into a dense row.
 
     Per LHS member the compiler enumerates every covering path the
-    object engine's ``_coverage`` would consider — the member itself
+    object-level ``_coverage`` would consider — the member itself
     plus prefix-rule shortenings, stopping at the first position not
     declared non-empty (gated mode) and skipping prefixes of *rhs* —
     and splits them by how they pass the Section 3.2 transitivity

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from typing import Iterable
 
-from ..nfd.fast_satisfy import satisfies_all_fast, satisfies_fast
+from ..nfd.batch_validate import ValidatorEngine
 from ..nfd.nfd import NFD
 from ..types.schema import Schema
 from ..values.build import Instance
@@ -46,14 +46,16 @@ def search_countermodel(schema: Schema, sigma: Iterable[NFD],
 
     sigma_list = list(sigma)
     candidate.check_well_formed(schema)
+    # compiled once, reused by every instance the search tries
+    satisfies_sigma = ValidatorEngine(schema, sigma_list).check
+    satisfies_candidate = ValidatorEngine(schema, [candidate]).check
 
     if use_construction:
         engine = ClosureEngine(schema, sigma_list)
         if not engine.implies(candidate):
             built = build_countermodel(engine, candidate.base,
                                        candidate.lhs)
-            if satisfies_all_fast(built, sigma_list) and \
-                    not satisfies_fast(built, candidate):
+            if satisfies_sigma(built) and not satisfies_candidate(built):
                 return built
             # The construction failed to separate; fall through to the
             # random search rather than silently trusting it.
@@ -63,9 +65,9 @@ def search_countermodel(schema: Schema, sigma: Iterable[NFD],
                                    domain=domain,
                                    max_set_size=max_set_size,
                                    empty_probability=0.0)
-        if not satisfies_all_fast(instance, sigma_list):
+        if not satisfies_sigma(instance):
             continue
-        if not satisfies_fast(instance, candidate):
+        if not satisfies_candidate(instance):
             return instance
     return None
 

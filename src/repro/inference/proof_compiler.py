@@ -1,7 +1,9 @@
 """Compiling engine answers into machine-checked derivations.
 
 The closure engine decides implication by saturation; this module turns
-its provenance into an explicit :class:`~repro.inference.derivation.Derivation`
+the provenance its proof-recording worklist keeps (see
+:meth:`~repro.inference.closure.ClosureEngine.proof_closure`) into an
+explicit :class:`~repro.inference.derivation.Derivation`
 — a proof script in the paper's rule system (the eight rules plus
 full-locality, per the DESIGN.md 3.2.1 analysis) whose every step is
 re-verified by the rule objects.  The compiled proof ends with exactly
@@ -37,6 +39,7 @@ class _Compiler:
             for index, nfd in enumerate(engine.sigma)
         }
         self.derivation = Derivation(engine.schema, hypotheses)
+        self.provenance = engine._recorder(relation).provenance
         self._counter = 0
         self._path_steps: dict[tuple, str] = {}
         self._usable_steps: dict[tuple, str] = {}
@@ -57,8 +60,7 @@ class _Compiler:
             self.derivation.reflexivity(label, self.base, key, path)
             self._path_steps[memo_key] = label
             return label
-        record = self.engine._provenance[self.relation] \
-            .get(key, {}).get(path)
+        record = self.provenance.get(key, {}).get(path)
         if record is None:
             raise InferenceError(
                 f"no recorded derivation of {path} from "
@@ -147,6 +149,7 @@ class _Compiler:
 
     def finish(self, nfd: NFD) -> Derivation:
         simple = to_simple(nfd)
+        self.engine.proof_closure(self.relation, simple.lhs)
         label = self.derive_path(simple.rhs, simple.lhs)
         depth = len(nfd.base) - 1
         for _ in range(depth):

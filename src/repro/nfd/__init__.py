@@ -1,7 +1,6 @@
 """Nested functional dependencies: syntax, semantics, and logic form."""
 
 from .batch_validate import ValidationResult, ValidatorEngine, ValidatorStats
-from .fast_satisfy import satisfies_all_fast, satisfies_fast
 from .logic import Equality, NFDFormula, Quantifier, Term, translate
 from .logic_eval import evaluate, holds_fol
 from .nfd import NFD
@@ -32,8 +31,6 @@ __all__ = [
     "parse_nfd_family",
     "satisfies",
     "satisfies_all",
-    "satisfies_fast",
-    "satisfies_all_fast",
     "ValidatorEngine",
     "ValidatorStats",
     "ValidationResult",

@@ -438,14 +438,17 @@ class ReproServer:
     # -- query handlers ----------------------------------------------------
 
     @staticmethod
-    def _strategy_of(request: dict) -> str:
-        strategy = request.get("strategy", "worklist")
+    def _check_strategy(request: dict) -> None:
+        """Protocol v1 compatibility: a query may still name one of the
+        legacy closure strategies.  Every name is answered by the same
+        kernel, so a known name is ignored; an unknown one is still an
+        ``invalid_query``."""
+        strategy = request.get("strategy", "dense")
         if strategy not in STRATEGIES:
             raise ProtocolError(
                 "invalid_query",
                 f"unknown strategy {strategy!r}; expected one of "
                 f"{', '.join(STRATEGIES)}")
-        return strategy
 
     @staticmethod
     def _effective_deadline(request: dict,
@@ -484,30 +487,26 @@ class ReproServer:
         if request_type == "check":
             return await self._query_check(request_id, entry, instance,
                                            deadline)
-        strategy = self._strategy_of(request)
+        self._check_strategy(request)
         self._check_deadline(deadline)
         if request_type == "implies":
-            return await self._query_implies(request_id, entry,
-                                             strategy, request)
+            return await self._query_implies(request_id, entry, request)
         if request_type == "closure":
-            return await self._query_closure(request_id, entry,
-                                             strategy, request)
-        return await self._query_keys(request_id, entry, strategy,
-                                      request)
+            return await self._query_closure(request_id, entry, request)
+        return await self._query_keys(request_id, entry, request)
 
-    async def _query_implies(self, request_id, entry, strategy,
-                             request) -> dict:
+    async def _query_implies(self, request_id, entry, request) -> dict:
         text = request.get("nfd")
         if not isinstance(text, str):
             raise ProtocolError("invalid_query",
                                 '"implies" requires an "nfd" string')
         candidate = parse_nfd(text)
-        session = await self.pool.session_for(entry, strategy)
+        session = await self.pool.session_for(entry)
         try:
             candidate.check_well_formed(session.schema)
         except NFDError as exc:
             raise ProtocolError("invalid_query", str(exc)) from exc
-        batcher = await self.pool.batcher_for(entry, strategy)
+        batcher = await self.pool.batcher_for(entry)
         closed = await batcher.closure(candidate.base, candidate.lhs)
         implied = candidate.rhs in closed
         return ok_response(request_id, "implies", {
@@ -515,8 +514,7 @@ class ReproServer:
             "nfd": str(candidate),
         })
 
-    async def _query_closure(self, request_id, entry, strategy,
-                             request) -> dict:
+    async def _query_closure(self, request_id, entry, request) -> dict:
         """Single ``base``/``paths`` query, or a pipelined ``queries``
         list — either way served through the entry's batcher, so
         concurrent and pipelined queries share kernel sweeps."""
@@ -546,7 +544,7 @@ class ReproServer:
                                      "strings")
             parsed.append((parse_path(base_text),
                            {parse_path(p) for p in path_texts}))
-        batcher = await self.pool.batcher_for(entry, strategy)
+        batcher = await self.pool.batcher_for(entry)
         closures = await asyncio.gather(*[
             batcher.closure(base, lhs) for base, lhs in parsed])
         # Path-tuple sort order (what the CLI prints), not string sort
@@ -558,8 +556,7 @@ class ReproServer:
             result["closure"] = rendered[0]
         return ok_response(request_id, "closure", result)
 
-    async def _query_keys(self, request_id, entry, strategy,
-                          request) -> dict:
+    async def _query_keys(self, request_id, entry, request) -> dict:
         from ..analysis import minimal_keys
         relation = request.get("relation")
         if relation is None:
@@ -567,10 +564,9 @@ class ReproServer:
         if not isinstance(relation, str):
             raise ProtocolError("invalid_query",
                                 '"relation" must be a string')
-        session = await self.pool.session_for(entry, strategy)
+        session = await self.pool.session_for(entry)
         keys = minimal_keys(entry.schema, entry.sigma, relation,
-                            engine=session, nonempty=entry.nonempty,
-                            strategy=strategy)
+                            engine=session, nonempty=entry.nonempty)
         return ok_response(request_id, "keys", {
             "relation": relation,
             "keys": [sorted(str(p) for p in key) for key in keys],

@@ -6,9 +6,9 @@ the pool maps the bundle's canonical
 :class:`PoolEntry` holding the parsed model objects plus, built lazily
 and kept warm:
 
-* one :class:`~repro.inference.session.ImplicationSession` per
-  requested closure strategy (memoized closures, optional write-through
-  to the persistent :class:`~repro.store.CacheStore`), and
+* one :class:`~repro.inference.session.ImplicationSession` (memoized
+  closures, optional write-through to the persistent
+  :class:`~repro.store.CacheStore`) with its closure batcher, and
 * one :class:`~repro.nfd.batch_validate.ValidatorEngine` (compiled
   path-trie plans, restored from the store when a payload for this Σ
   exists).
@@ -28,9 +28,9 @@ once (``coalesced_builds`` counts the riders).
 Queued closure queries against one entry **batch**: each
 :class:`_ClosureBatcher` parks callers for one event-loop tick, drains
 everything that accumulated, and serves the whole batch through
-:meth:`ImplicationSession.closure_batch` — subset-ordered, seed-shared,
-and (under ``strategy="dense"``) one sweep of the dense kernel per
-batch instead of one per query.
+:meth:`ImplicationSession.closure_batch` — subset-ordered and
+seed-shared, one sweep of the dense kernel per batch instead of one per
+query.
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ class PoolEntry:
     """One fingerprint's warm state: model objects plus lazy engines."""
 
     __slots__ = ("key", "fingerprint", "schema", "sigma", "nonempty",
-                 "sessions", "batchers", "validator")
+                 "session", "batcher", "validator")
 
     def __init__(self, key: str, fingerprint: str, schema, sigma,
                  nonempty):
@@ -133,8 +133,8 @@ class PoolEntry:
         self.schema = schema
         self.sigma = tuple(sigma)
         self.nonempty = nonempty
-        self.sessions: dict[str, ImplicationSession] = {}
-        self.batchers: dict[str, _ClosureBatcher] = {}
+        self.session: ImplicationSession | None = None
+        self.batcher: _ClosureBatcher | None = None
         self.validator: ValidatorEngine | None = None
 
 
@@ -194,8 +194,8 @@ class EnginePool:
 
     def _retire(self, entry: PoolEntry) -> None:
         """Fold an evicted entry's counters into the retired totals."""
-        for session in entry.sessions.values():
-            stats = session.stats
+        if entry.session is not None:
+            stats = entry.session.stats
             self._retired["rule_attempts"] += stats.engine.attempts
             self._retired["saturations"] += stats.engine.saturations
             self._retired["closure_queries"] += stats.queries
@@ -237,22 +237,19 @@ class EnginePool:
         finally:
             del self._building[slot]
 
-    async def session_for(self, entry: PoolEntry,
-                          strategy: str) -> ImplicationSession:
-        """The entry's warm session for *strategy*, built on first use."""
-        session = entry.sessions.get(strategy)
-        if session is not None:
-            return session
+    async def session_for(self, entry: PoolEntry) -> ImplicationSession:
+        """The entry's warm session, built on first use."""
+        if entry.session is not None:
+            return entry.session
         def factory():
             return ImplicationSession(
                 entry.schema, entry.sigma, entry.nonempty,
-                strategy=strategy, tracer=self.tracer,
-                store=self.store)
-        session = await self._build((entry.key, strategy), factory)
-        if strategy not in entry.sessions:
-            entry.sessions[strategy] = session
+                tracer=self.tracer, store=self.store)
+        session = await self._build((entry.key, "session"), factory)
+        if entry.session is None:
+            entry.session = session
             self.stats.session_builds += 1
-        return entry.sessions[strategy]
+        return entry.session
 
     async def validator_for(self, entry: PoolEntry) -> ValidatorEngine:
         """The entry's warm validator, restored from the store when a
@@ -269,17 +266,13 @@ class EnginePool:
             self.stats.validator_builds += 1
         return entry.validator
 
-    async def batcher_for(self, entry: PoolEntry,
-                          strategy: str) -> _ClosureBatcher:
-        """The entry's closure batcher for *strategy*."""
-        batcher = entry.batchers.get(strategy)
-        if batcher is None:
-            session = await self.session_for(entry, strategy)
-            batcher = entry.batchers.get(strategy)
-            if batcher is None:
-                batcher = _ClosureBatcher(session, self.stats)
-                entry.batchers[strategy] = batcher
-        return batcher
+    async def batcher_for(self, entry: PoolEntry) -> _ClosureBatcher:
+        """The entry's closure batcher."""
+        if entry.batcher is None:
+            session = await self.session_for(entry)
+            if entry.batcher is None:
+                entry.batcher = _ClosureBatcher(session, self.stats)
+        return entry.batcher
 
     # -- aggregate counters ------------------------------------------------
 
@@ -289,8 +282,8 @@ class EnginePool:
         request window must move none of the cold-work counters)."""
         totals = dict(self._retired)
         for entry in self._entries.values():
-            for session in entry.sessions.values():
-                stats = session.stats
+            if entry.session is not None:
+                stats = entry.session.stats
                 totals["rule_attempts"] += stats.engine.attempts
                 totals["saturations"] += stats.engine.saturations
                 totals["closure_queries"] += stats.queries

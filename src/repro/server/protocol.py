@@ -64,7 +64,9 @@ DEFAULT_PORT = 7399
 #: position past an oversized frame is unrecoverable).
 MAX_FRAME_BYTES = 8 * 1024 * 1024
 
-#: Closure strategies a query may select.
+#: The closure-strategy names a protocol v1 query may still carry in
+#: its ``strategy`` field.  They are validated and then ignored: one
+#: kernel answers every query.
 STRATEGIES = ("worklist", "naive", "dense")
 
 #: Every error code a response may carry.

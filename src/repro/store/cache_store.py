@@ -21,7 +21,7 @@ canonical byte encoding of :mod:`repro.values.canonical`:
 * ``dense_tables`` — ``(fingerprint, relation) -> pickled interned
   closure tables`` of :mod:`repro.inference.dense`, tagged with the Σ
   member order exactly like plans (dense rows are indexed positionally),
-  so a dense-strategy session warm-starts with zero compilation;
+  so a session warm-starts with zero kernel compilation;
 * ``stream_sources`` / ``stream_groups`` — per-source watermarks and
   per-plan ``[key, first, clash]`` aggregate blobs for incremental
   streaming (see :mod:`repro.store.stream_cache`): one pickled list of
@@ -277,25 +277,54 @@ class CacheStore:
         conn.execute(f"PRAGMA busy_timeout = {BUSY_TIMEOUT_MS}")
         conn.execute("PRAGMA journal_mode = WAL")
         conn.execute("PRAGMA synchronous = NORMAL")
-        initialized = conn.execute(
-            "SELECT 1 FROM sqlite_master WHERE type = 'table' "
-            "AND name = 'meta'").fetchone() is not None
-        if initialized and not self._versions_ok(conn):
-            # schema or codec moved on: every entry is unreadable under
-            # the new encoding, so drop the lot and start clean
-            self.stats.stale += 1
-            for table in ("closure_memo", "plans", "dense_tables",
-                          "stream_sources", "stream_groups", "meta"):
-                conn.execute(f"DROP TABLE IF EXISTS {table}")
-        conn.executescript(_TABLES)
-        conn.execute(
-            "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
-            ("schema_version", str(SCHEMA_VERSION)))
-        conn.execute(
-            "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
-            ("codec_version", CODEC_VERSION))
-        conn.commit()
+        if not self._versions_ok(conn):
+            self._initialize(conn)
         self._conn = conn
+
+    def _initialize(self, conn: sqlite3.Connection) -> None:
+        """Create the tables and stamp the versions, dropping every
+        table first when the stamps name an older schema or codec.
+
+        Check, drop, create and stamp run as one ``BEGIN IMMEDIATE``
+        transaction, and the versions are re-checked inside it: another
+        process opening the same fresh directory either waits for this
+        one to commit and then finds a stamped store it leaves alone,
+        or runs first itself.  No connection ever sees the tables
+        without their stamps, so none mistakes a store that is being
+        created for a stale one and drops rows already written to it.
+        """
+        conn.isolation_level = None  # transactions are explicit here
+        try:
+            conn.execute("BEGIN IMMEDIATE")
+            try:
+                if not self._versions_ok(conn):
+                    initialized = conn.execute(
+                        "SELECT 1 FROM sqlite_master WHERE type = "
+                        "'table' AND name = 'meta'").fetchone()
+                    if initialized is not None:
+                        # schema or codec moved on: every entry is
+                        # unreadable under the new encoding, so drop
+                        # the lot and start clean
+                        self.stats.stale += 1
+                        for table in ("closure_memo", "plans",
+                                      "dense_tables", "stream_sources",
+                                      "stream_groups", "meta"):
+                            conn.execute(f"DROP TABLE IF EXISTS {table}")
+                    for statement in _TABLES.split(";"):
+                        if statement.strip():
+                            conn.execute(statement)
+                    conn.executemany(
+                        "INSERT OR REPLACE INTO meta (key, value) "
+                        "VALUES (?, ?)",
+                        [("schema_version", str(SCHEMA_VERSION)),
+                         ("codec_version", CODEC_VERSION)])
+                conn.execute("COMMIT")
+            except BaseException:
+                if conn.in_transaction:
+                    conn.execute("ROLLBACK")
+                raise
+        finally:
+            conn.isolation_level = ""
 
     def _versions_ok(self, conn: sqlite3.Connection) -> bool:
         try:

@@ -9,14 +9,7 @@ from repro.inference import (
     build_countermodel,
     compile_proof,
 )
-from repro.nfd import (
-    NFD,
-    holds_fol,
-    parse_nfd,
-    satisfies,
-    satisfies_all_fast,
-    satisfies_fast,
-)
+from repro.nfd import NFD, holds_fol, parse_nfd, satisfies, satisfies_all
 from repro.paths import parse_path, relation_paths
 from repro.values import check_instance
 
@@ -29,7 +22,7 @@ class TestDeepSchema:
 
     def test_instance_satisfies_sigma(self):
         check_instance(self.instance)
-        assert satisfies_all_fast(self.instance, self.sigma)
+        assert satisfies_all(self.instance, self.sigma)
         for nfd in self.sigma:
             assert satisfies(self.instance, nfd)
             assert holds_fol(self.instance, nfd)
@@ -42,8 +35,8 @@ class TestDeepSchema:
         global_form = parse_nfd(
             "Trial:[sites:cohorts:samples:sample_id -> "
             "sites:cohorts:samples:value]")
-        assert satisfies_fast(self.instance, local)
-        assert not satisfies_fast(self.instance, global_form)
+        assert satisfies(self.instance, local)
+        assert not satisfies(self.instance, global_form)
 
     def test_deep_implication(self):
         engine = ClosureEngine(self.schema, self.sigma)
@@ -68,8 +61,8 @@ class TestDeepSchema:
         witness = build_countermodel(engine, candidate.base,
                                      candidate.lhs)
         check_instance(witness)
-        assert satisfies_all_fast(witness, self.sigma)
-        assert not satisfies_fast(witness, candidate)
+        assert satisfies_all(witness, self.sigma)
+        assert not satisfies(witness, candidate)
 
     def test_deep_proof_certificate(self):
         engine = ClosureEngine(self.schema, self.sigma)
@@ -103,13 +96,13 @@ class TestDeepSchema:
         for _ in range(200):
             instance = random_instance(rng, self.schema, tuples=2,
                                        domain=2)
-            if not satisfies_all_fast(instance, self.sigma):
+            if not satisfies_all(instance, self.sigma):
                 continue
             checked += 1
             for q in implied:
                 nfd = NFD(parse_path("Trial"),
                           {parse_path("trial_id")}, q)
-                assert satisfies_fast(instance, nfd)
+                assert satisfies(instance, nfd)
             if checked >= 10:
                 break
         assert checked > 0

@@ -12,8 +12,8 @@ from repro.io import dump_bundle, load_bundle
 from repro.nfd import (
     find_violation,
     parse_nfd,
-    satisfies_all_fast,
-    satisfies_fast,
+    satisfies,
+    satisfies_all,
 )
 from repro.paths import parse_path
 from repro.types import Schema, parse_schema
@@ -24,7 +24,7 @@ class TestWarehouseScenario:
     """The introduction's data-integration motivation, end to end."""
 
     def test_clean_warehouse_passes(self):
-        assert satisfies_all_fast(workloads.warehouse_instance(),
+        assert satisfies_all(workloads.warehouse_instance(),
                                   workloads.warehouse_sigma())
 
     def test_inconsistent_description_is_caught_with_witness(self):
@@ -107,7 +107,7 @@ class TestCarryoverScenario:
         # cnum -> time survives as a top-level NFD
         carried = nfd_after_nest("Enrollment", FD({"cnum"}, "time"),
                                  ["sid", "grade"], "students")
-        assert satisfies_fast(nested, carried)
+        assert satisfies(nested, carried)
         # and unnesting restores the original rows
         assert unnest(nested.relation("Enrollment"), "students") == \
             flat.relation("Enrollment")

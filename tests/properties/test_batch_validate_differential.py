@@ -2,9 +2,8 @@
 
 :class:`repro.nfd.ValidatorEngine` compiles shared path-trie plans and
 validates a whole Σ in one walk; these tests pin its verdicts to the
-literal Definition-2.4 checker (`satisfies`) and the hash-grouped one
-(`satisfies_fast`) *per NFD*, across randomized schemas, constraint
-sets, and instances — including instances with empty sets (the
+literal Definition-2.4 checkers (`satisfies` per NFD, `satisfies_all`
+per Σ), across randomized schemas, constraint sets, and instances — including instances with empty sets (the
 trivially-true escape clause) and hence partially defined paths.
 
 Together the three seeds-based tests run ≥ 200 randomized cases.
@@ -16,13 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.generators import random_instance, random_schema, random_sigma
-from repro.nfd import (
-    ValidatorEngine,
-    satisfies,
-    satisfies_all,
-    satisfies_all_fast,
-    satisfies_fast,
-)
+from repro.nfd import ValidatorEngine, satisfies, satisfies_all
 
 
 def _draw_case(seed: int, empty_probability: float):
@@ -42,12 +35,8 @@ def _assert_engine_agrees(schema, sigma, instance):
                        if not satisfies(instance, nfd)}
     assert set(result.failed) == expected_failed
     assert engine.check(instance) == (not expected_failed)
-    for nfd in sigma:
-        assert satisfies_fast(instance, nfd) == \
-            satisfies(instance, nfd)
     assert engine.satisfies_all(instance) == \
-        satisfies_all(instance, sigma) == \
-        satisfies_all_fast(instance, sigma)
+        satisfies_all(instance, sigma)
 
 
 @settings(max_examples=100, deadline=None)
@@ -69,14 +58,13 @@ def test_engine_agrees_with_empty_sets(seed):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=100_000))
 def test_single_nfd_engine_matches_both_checkers(seed):
-    """Per-NFD engines (the find_violation path) agree with both
-    reference checkers, heavier on empty sets."""
+    """Per-NFD engines (the find_violation path) agree with the
+    reference checker, heavier on empty sets."""
     schema, sigma, instance = _draw_case(seed, empty_probability=0.5)
     for nfd in sigma:
         engine = ValidatorEngine(schema, (nfd,))
         verdict = engine.check(instance)
         assert verdict == satisfies(instance, nfd)
-        assert verdict == satisfies_fast(instance, nfd)
 
 
 @settings(max_examples=60, deadline=None)

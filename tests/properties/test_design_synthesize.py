@@ -10,7 +10,7 @@ Three families of randomized evidence back ``repro normalize``:
   a brute-force re-derivation: rebuild the enforced constraint set
   from the winner's :class:`~repro.design.PlanReport` (top-level
   placements, per-set local forms, structural NFDs) and ask one
-  independent naive-strategy engine per carried dependency.
+  independent naive reference closure per carried dependency.
 * **Sweep determinism** — ``sweep_normalize(..., jobs=2)`` renders
   byte-identically to the serial sweep, so CI gate numbers cannot
   depend on worker scheduling.
@@ -33,8 +33,8 @@ from repro.generators import (
     random_flat_schema,
     random_satisfying_instance,
 )
-from repro.inference import ClosureEngine, NonEmptySpec
-from repro.nfd import satisfies_all_fast
+from repro.inference import NaiveClosure, NonEmptySpec
+from repro.nfd import satisfies_all
 
 ROUNDTRIP_SEEDS = 60
 PRESERVATION_SEEDS = 60
@@ -64,7 +64,7 @@ def _check_roundtrip(seed: int, gated: bool) -> None:
     # the same fact, checked without going through _roundtrip: the
     # nested value satisfies every carried and structural NFD
     nested = report.plan.apply_instance(instance)
-    assert satisfies_all_fast(nested, report.plan_report.all_nfds()), \
+    assert satisfies_all(nested, report.plan_report.all_nfds()), \
         (seed, report.to_text())
 
 
@@ -75,7 +75,7 @@ def _brute_force_preserved(report) -> bool:
     carried NFDs verbatim, each deep placement's local form when one
     exists, and the structural NFDs nesting induces.  The design
     preserves Sigma iff that set implies every carried dependency —
-    one fresh naive-strategy engine per query, sharing nothing with
+    one fresh naive reference closure per query, sharing nothing with
     the session machinery under test.
     """
     plan_report = report.plan_report
@@ -89,8 +89,7 @@ def _brute_force_preserved(report) -> bool:
                 enforced.append(local)
     enforced.extend(plan_report.structural_nfds())
     return all(
-        ClosureEngine(plan_report.schema, enforced,
-                      strategy="naive").implies(nfd)
+        NaiveClosure(plan_report.schema, enforced).implies(nfd)
         for nfd in plan_report.nfds())
 
 

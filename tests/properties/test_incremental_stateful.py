@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.generators import random_instance, random_schema, random_sigma
 from repro.incremental import IncrementalChecker
-from repro.nfd import satisfies_all_fast
+from repro.nfd import satisfies_all
 
 
 class IncrementalCheckerMachine(RuleBasedStateMachine):
@@ -67,7 +67,7 @@ class IncrementalCheckerMachine(RuleBasedStateMachine):
             return
         instance = self.checker.to_instance()
         assert self.checker.is_consistent() == \
-            satisfies_all_fast(instance, self.sigma)
+            satisfies_all(instance, self.sigma)
 
     @invariant()
     def tuple_count_matches(self):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.generators import random_instance, random_nfd, random_schema
-from repro.nfd import holds_fol, satisfies, satisfies_fast
+from repro.nfd import ValidatorEngine, holds_fol, satisfies
 
 from .strategies import schema_sigma_instance
 
@@ -33,7 +33,8 @@ def _draw_case(seed: int, empty_probability: float):
 @given(st.integers(min_value=0, max_value=100_000))
 def test_fast_checker_agrees_everywhere(seed):
     instance, nfd = _draw_case(seed, empty_probability=0.3)
-    assert satisfies_fast(instance, nfd) == satisfies(instance, nfd)
+    engine = ValidatorEngine(instance.schema, [nfd])
+    assert engine.check(instance) == satisfies(instance, nfd)
 
 
 @settings(max_examples=150, deadline=None)

@@ -11,9 +11,10 @@ closure batcher, and the deadline-bearing stream path may change *how*
 an answer is computed, never *what* it is.
 
 A deterministic seed sweep guarantees the advertised case count: 60
-seeds x 2 modes (plain / NON-NULL-gated Sigma) x 2 strategies
-(worklist / dense) = 240 randomized cases, clearing the >= 200 bar.  A
-hypothesis wrapper adds shrinking on failure.
+seeds x 2 modes (plain / NON-NULL-gated Sigma) x 2 legacy ``strategy``
+wire fields (worklist / dense — protocol v1 clients still send one; the
+daemon validates and ignores it) = 240 randomized cases, clearing the
+>= 200 bar.  A hypothesis wrapper adds shrinking on failure.
 """
 
 import json
@@ -39,6 +40,7 @@ from repro.paths import Path, relation_paths, set_paths
 from repro.server import ReproClient
 
 SEEDS_PER_MODE = 60
+#: Legacy ``strategy`` wire fields the queries carry.
 STRATEGIES = ("worklist", "dense")
 REPO_ROOT = FsPath(__file__).resolve().parents[2]
 
@@ -133,8 +135,12 @@ def _check_agreement(client: ReproClient, seed: int, gated: bool,
                      strategy: str) -> None:
     rng, schema, sigma, relation, spec, instance, bundle = \
         _draw(seed, gated)
-    session = ImplicationSession(schema, sigma, spec, strategy=strategy)
+    session = ImplicationSession(schema, sigma, spec)
     paths = relation_paths(schema, relation)
+
+    def ask(kind: str, **params) -> dict:
+        return client.request(kind, bundle=bundle, strategy=strategy,
+                              **params)
     base = Path((relation,))
 
     # implies: random candidates plus every member of Sigma itself
@@ -142,8 +148,7 @@ def _check_agreement(client: ReproClient, seed: int, gated: bool,
     candidates = [random_nfd(rng, schema) for _ in range(3)]
     candidates.extend(sigma)
     for candidate in candidates:
-        remote = client.implies(bundle, str(candidate),
-                                strategy=strategy)
+        remote = ask("implies", nfd=str(candidate))["implied"]
         assert remote == session.implies(candidate), \
             (seed, gated, strategy, str(candidate))
 
@@ -154,26 +159,23 @@ def _check_agreement(client: ReproClient, seed: int, gated: bool,
         lhs = rng.sample(paths, min(len(paths), rng.randint(0, 2)))
         queries.append((base, frozenset(lhs)))
     for q_base, q_lhs in queries:
-        remote = client.closure(bundle, str(q_base),
-                                [str(p) for p in q_lhs],
-                                strategy=strategy)
+        remote = ask("closure", base=str(q_base),
+                     paths=[str(p) for p in q_lhs])["closure"]
         local = [str(p) for p in sorted(session.closure(q_base, q_lhs))]
         assert remote == local, (seed, gated, strategy, q_lhs)
 
     # closure: the pipelined "queries" form answers like the singles
-    remote_many = client.closure_many(
-        bundle,
-        [(str(q_base), [str(p) for p in q_lhs])
-         for q_base, q_lhs in queries],
-        strategy=strategy)
+    remote_many = ask("closure", queries=[
+        [str(q_base), [str(p) for p in q_lhs]]
+        for q_base, q_lhs in queries])["closures"]
     local_many = [[str(p) for p in sorted(session.closure(q_base, q_lhs))]
                   for q_base, q_lhs in queries]
     assert remote_many == local_many, (seed, gated, strategy)
 
-    # keys: same relation, same strategy, same rendering
-    remote_keys = client.keys(bundle, relation, strategy=strategy)
+    # keys: same relation, same rendering
+    remote_keys = ask("keys", relation=relation)
     local_keys = minimal_keys(schema, sigma, relation, engine=session,
-                              nonempty=spec, strategy=strategy)
+                              nonempty=spec)
     assert remote_keys["relation"] == relation
     assert remote_keys["keys"] == \
         [sorted(str(p) for p in key) for key in local_keys], \

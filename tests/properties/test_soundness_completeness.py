@@ -25,7 +25,7 @@ from repro.generators import (
 )
 from repro.inference import ClosureEngine, NonEmptySpec, \
     build_countermodel
-from repro.nfd import satisfies_all_fast, satisfies_fast
+from repro.nfd import satisfies, satisfies_all
 from repro.paths import Path
 from repro.values import check_instance, has_empty_sets
 
@@ -49,9 +49,9 @@ def test_soundness(seed):
     checked = 0
     for _ in range(120):
         instance = random_instance(rng, schema, tuples=2, domain=2)
-        if satisfies_all_fast(instance, sigma):
+        if satisfies_all(instance, sigma):
             checked += 1
-            assert satisfies_fast(instance, candidate), \
+            assert satisfies(instance, candidate), \
                 (sigma, candidate, instance)
         if checked >= 25:
             break
@@ -67,8 +67,8 @@ def test_completeness_via_countermodel(seed):
     witness = build_countermodel(engine, candidate.base, candidate.lhs)
     check_instance(witness)
     assert not has_empty_sets(witness)
-    assert satisfies_all_fast(witness, sigma)
-    assert not satisfies_fast(witness, candidate), (sigma, candidate)
+    assert satisfies_all(witness, sigma)
+    assert not satisfies(witness, candidate), (sigma, candidate)
 
 
 @settings(max_examples=40, deadline=None)
@@ -104,9 +104,9 @@ def test_empty_set_soundness(seed):
                                    empty_probability=0.35)
         if not spec.admits(instance):
             continue
-        if satisfies_all_fast(instance, sigma):
+        if satisfies_all(instance, sigma):
             checked += 1
-            assert satisfies_fast(instance, candidate), \
+            assert satisfies(instance, candidate), \
                 (sigma, candidate, spec, instance)
         if checked >= 20:
             break

@@ -12,7 +12,7 @@ from repro.generators import (
     random_sigma,
 )
 from repro.inference import ClosureEngine, compile_proof
-from repro.nfd import satisfies_all_fast
+from repro.nfd import satisfies_all
 from repro.types.base import BaseType
 from repro.values import Instance
 from repro.views import Base, evaluate, propagate_nfds, view_schema
@@ -72,7 +72,7 @@ def test_view_propagation_is_sound(seed):
     except ReproError:
         return  # the random pipeline was ill-formed (e.g. label clash)
     view_instance = Instance(target_schema, {"View": view_value})
-    assert satisfies_all_fast(view_instance, carried), \
+    assert satisfies_all(view_instance, carried), \
         (expr, sigma, carried, instance)
 
 

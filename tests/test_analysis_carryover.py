@@ -9,7 +9,7 @@ from repro.analysis import (
 )
 from repro.errors import InferenceError
 from repro.inference import FD
-from repro.nfd import parse_nfd, satisfies_fast
+from repro.nfd import parse_nfd, satisfies
 from repro.types import parse_schema, Schema
 from repro.values import Instance, nest, nest_type, unnest
 
@@ -65,7 +65,7 @@ class TestSemanticPreservation:
         nested = self._nested(schema, flat)
         # B -> C holds flat; translated it must hold nested.
         nfd = nfd_after_nest("R", FD({"B"}, "C"), ["B", "C"], "N")
-        assert satisfies_fast(nested, nfd)
+        assert satisfies(nested, nfd)
 
     def test_violated_fd_stays_violated(self):
         schema, flat = self._flat([
@@ -74,7 +74,7 @@ class TestSemanticPreservation:
         ])
         nested = self._nested(schema, flat)
         nfd = nfd_after_nest("R", FD({"B"}, "C"), ["B", "C"], "N")
-        assert not satisfies_fast(nested, nfd)
+        assert not satisfies(nested, nfd)
 
     def test_roundtrip_on_random_data(self, rng):
         schema = parse_schema("R = {<A, B, C>}")
@@ -88,8 +88,8 @@ class TestSemanticPreservation:
             nested = self._nested(schema, flat)
             for lhs in (["A"], ["B"], ["A", "B"]):
                 fd = FD(set(lhs), "C")
-                flat_holds = satisfies_fast(
+                flat_holds = satisfies(
                     flat, parse_nfd(f"R:[{', '.join(lhs)} -> C]"))
-                nested_holds = satisfies_fast(
+                nested_holds = satisfies(
                     nested, nfd_after_nest("R", fd, ["B", "C"], "N"))
                 assert flat_holds == nested_holds, (rows, fd)

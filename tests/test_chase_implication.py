@@ -11,7 +11,7 @@ from repro.chase.nested_implication import chase_implies
 from repro.generators import random_nfd, random_schema, random_sigma
 from repro.generators import workloads
 from repro.inference import ClosureEngine
-from repro.nfd import NFD, parse_nfds, satisfies_all_fast, satisfies_fast
+from repro.nfd import NFD, parse_nfds, satisfies, satisfies_all
 from repro.types import parse_schema
 
 
@@ -29,8 +29,8 @@ class TestChaseImplies:
         verdict = chase_implies(schema, sigma, NFD.parse("R:A:[E -> B]"))
         assert not verdict.implied
         assert verdict.certified
-        assert satisfies_all_fast(verdict.instance, sigma)
-        assert not satisfies_fast(verdict.instance,
+        assert satisfies_all(verdict.instance, sigma)
+        assert not satisfies(verdict.instance,
                                   NFD.parse("R:A:[E -> B]"))
 
     def test_course_inferences(self):
@@ -60,8 +60,8 @@ class TestChaseImplies:
                 if verdict.implied:
                     continue
                 negatives += 1
-                assert satisfies_all_fast(verdict.instance, sigma)
-                assert not satisfies_fast(verdict.instance, candidate)
+                assert satisfies_all(verdict.instance, sigma)
+                assert not satisfies(verdict.instance, candidate)
                 # a certified negative must agree with Theorem 3.1
                 assert not engine.implies(candidate)
         assert negatives > 10

@@ -5,7 +5,7 @@ import pytest
 from repro.cli import main
 from repro.generators import workloads
 from repro.io import dump_bundle, load_bundle
-from repro.nfd import satisfies_all_fast
+from repro.nfd import satisfies_all
 
 
 @pytest.fixture
@@ -148,7 +148,7 @@ class TestCounter:
                      "-o", str(out_path)]) == 0
         schema, sigma, witness = load_bundle(out_path.read_text())
         assert witness is not None
-        assert satisfies_all_fast(witness, sigma)
+        assert satisfies_all(witness, sigma)
 
     def test_implied_has_no_countermodel(self, course_bundle, capsys):
         assert main(["counter", course_bundle,
@@ -168,7 +168,7 @@ class TestRenderKeysRepair:
         out_path = tmp_path / "fixed.json"
         assert main(["repair", broken_bundle, "-o", str(out_path)]) == 0
         schema, sigma, fixed = load_bundle(out_path.read_text())
-        assert satisfies_all_fast(fixed, sigma)
+        assert satisfies_all(fixed, sigma)
 
     def test_repair_in_place_unchanged(self, course_bundle, capsys):
         assert main(["repair", course_bundle]) == 0
@@ -269,44 +269,66 @@ class TestCounterNonemptySpec:
                      "Course:[time -> cnum]"]) == 0
 
 
+#: The retired ``--strategy`` names: still parsed, never acted on.
+LEGACY_STRATEGIES = ("worklist", "naive", "dense")
+
+
 class TestStrategyFlag:
+    """The retired ``--strategy`` flag: every legacy name parses and
+    prints exactly what the default run prints; unknown names are still
+    usage errors; the flag is gone from ``--help``."""
+
     def test_dense_implies_matches_default(self, course_bundle, capsys):
         assert main(["implies", course_bundle,
                      "Course:[students:sid, time -> books]"]) == 0
         default = capsys.readouterr().out
-        assert main(["implies", course_bundle,
-                     "Course:[students:sid, time -> books]",
-                     "--strategy", "dense"]) == 0
-        assert capsys.readouterr().out == default
-        assert main(["implies", course_bundle,
-                     "Course:[time -> cnum]",
-                     "--strategy", "dense"]) == 1
+        for name in LEGACY_STRATEGIES:
+            assert main(["implies", course_bundle,
+                         "Course:[students:sid, time -> books]",
+                         "--strategy", name]) == 0
+            assert capsys.readouterr().out == default, name
+            assert main(["implies", course_bundle,
+                         "Course:[time -> cnum]",
+                         "--strategy", name]) == 1
+            capsys.readouterr()
 
     def test_dense_closure_and_keys_match_default(self, course_bundle,
                                                   capsys):
         assert main(["closure", course_bundle, "Course", "cnum"]) == 0
         closure_out = capsys.readouterr().out
-        assert main(["closure", course_bundle, "Course", "cnum",
-                     "--strategy", "dense"]) == 0
-        assert capsys.readouterr().out == closure_out
         assert main(["keys", course_bundle]) == 0
         keys_out = capsys.readouterr().out
-        assert main(["keys", course_bundle,
-                     "--strategy", "dense"]) == 0
-        assert capsys.readouterr().out == keys_out
+        for name in LEGACY_STRATEGIES:
+            assert main(["closure", course_bundle, "Course", "cnum",
+                         "--strategy", name]) == 0
+            assert capsys.readouterr().out == closure_out, name
+            assert main(["keys", course_bundle,
+                         "--strategy", name]) == 0
+            assert capsys.readouterr().out == keys_out, name
 
     def test_dense_stats_name_the_strategy(self, course_bundle, capsys):
-        assert main(["implies", course_bundle,
-                     "Course:[students:sid, time -> books]",
-                     "--strategy", "dense", "--stats"]) == 0
-        err = capsys.readouterr().err
-        assert "engine stats (dense strategy)" in err
-        assert "mask tests" in err
+        """The stats name no strategy, whatever the flag says."""
+        for name in LEGACY_STRATEGIES:
+            assert main(["implies", course_bundle,
+                         "Course:[students:sid, time -> books]",
+                         "--strategy", name, "--stats"]) == 0
+            err = capsys.readouterr().err
+            assert "engine stats:\n" in err
+            assert "strategy" not in err
+            assert "mask tests" in err
 
     def test_unknown_strategy_rejected(self, course_bundle, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["implies", course_bundle, "Course:[cnum -> time]",
                   "--strategy", "magic"])
+        assert exc.value.code == 2
+
+    def test_flag_is_hidden_from_help(self, capsys):
+        for command in ("implies", "closure", "keys", "analyze",
+                        "normalize"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            assert "--strategy" not in capsys.readouterr().out, command
 
 
 class TestStatsFlag:
@@ -316,7 +338,7 @@ class TestStatsFlag:
                      "--stats"]) == 0
         captured = capsys.readouterr()
         assert "engine stats" not in captured.out
-        assert "engine stats (worklist strategy)" in captured.err
+        assert "engine stats:" in captured.err
         assert "apply attempts" in captured.err
 
     def test_exit_codes_unchanged_by_stats(self, course_bundle, capsys):

@@ -165,9 +165,8 @@ class TestCacheSubcommand:
 
     def test_stats_report_dense_tables(self, course_bundle, cache_dir,
                                        capsys):
-        # a dense-strategy query persists the interned tables ...
+        # a query persists the kernel's interned tables ...
         assert main(["closure", course_bundle, "Course", "cnum",
-                     "--strategy", "dense",
                      "--cache-dir", cache_dir]) == 0
         capsys.readouterr()
         # ... and `cache stats` reports their rows and bytes

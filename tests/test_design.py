@@ -18,7 +18,7 @@ from repro.design import (
 )
 from repro.errors import InferenceError
 from repro.inference import FD
-from repro.nfd import parse_nfd, satisfies_all_fast
+from repro.nfd import parse_nfd, satisfies_all
 from repro.paths import parse_path
 from repro.types import parse_schema
 from repro.values import Instance
@@ -186,7 +186,7 @@ class TestNestPlan:
                      "c": rng.randrange(2)} for _ in range(5)]
             flat = Instance(schema, {"R": rows})
             nested = plan.apply_instance(flat)
-            assert satisfies_all_fast(nested, report.structural_nfds())
+            assert satisfies_all(nested, report.structural_nfds())
 
     def test_local_enforceability_reproduces_examples_2_3_and_2_4(self):
         """The paper's local grade (Ex. 2.3) vs global age (Ex. 2.4)
@@ -237,4 +237,4 @@ class TestNestPlan:
         fds = [FD({"cnum"}, "time"), FD({"sid"}, "grade")]
         nested = plan.apply_instance(flat)
         report = plan.report(schema.relation_type("Course"), fds)
-        assert satisfies_all_fast(nested, report.nfds())
+        assert satisfies_all(nested, report.nfds())

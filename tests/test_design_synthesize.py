@@ -3,7 +3,8 @@
 Covers the synthesis stages of :mod:`repro.design.synthesize` — the
 flatten/rewrite front end, candidate generation, scoring, the
 preservation verdict, round-trip validation — plus the ``repro
-normalize`` CLI surface and the ``analyze --strategy`` regression.
+normalize`` CLI surface and the retired ``--strategy`` flag of
+``normalize``/``analyze``.
 """
 
 import json
@@ -23,7 +24,7 @@ from repro.errors import InferenceError
 from repro.inference import FD, NonEmptySpec
 from repro.io import dump_bundle
 from repro.generators import workloads
-from repro.nfd import parse_nfd, satisfies_all_fast
+from repro.nfd import parse_nfd, satisfies_all
 from repro.types import SetType, parse_schema
 from repro.values import Instance
 from repro.values.restructure import flatten_type, flatten_value
@@ -75,13 +76,14 @@ class TestSynthesizeEnroll:
         assert by_mode["session"].preserved == \
             by_mode["fresh"].preserved
 
-    def test_strategies_agree(self):
-        schema, sigma = _enroll()
-        dense = synthesize_design(schema, sigma, strategy="dense")
-        worklist = synthesize_design(schema, sigma,
-                                     strategy="worklist")
-        assert dense.plan.steps == worklist.plan.steps
-        assert dense.to_text() == worklist.to_text()
+    def test_strategies_agree(self, enroll_bundle, capsys):
+        """Every legacy ``--strategy`` name prints the default design."""
+        assert main(["normalize", enroll_bundle]) == 0
+        default = capsys.readouterr().out
+        for name in ("worklist", "naive", "dense"):
+            assert main(["normalize", enroll_bundle,
+                         "--strategy", name]) == 0
+            assert capsys.readouterr().out == default, name
 
     def test_gated_semantics(self):
         schema, sigma = _enroll()
@@ -192,7 +194,7 @@ class TestFlatten:
             {"cnum": "db", "time": 1, "sid": 2, "grade": "B"},
         ]})
         nested = report.plan.apply_instance(flat)
-        assert satisfies_all_fast(nested,
+        assert satisfies_all(nested,
                                   report.plan_report.all_nfds())
 
 
@@ -309,25 +311,15 @@ class TestNormalizeCLI:
 
 
 class TestAnalyzeStrategyRegression:
-    """``repro analyze --strategy dense`` must match the worklist."""
+    """``repro analyze --strategy NAME`` still parses and changes
+    nothing: every legacy name prints the default analysis."""
 
     def test_dense_equals_worklist_stdout(self, tmp_path, capsys):
         path = tmp_path / "course.json"
         path.write_text(dump_bundle(workloads.course_schema(),
                                     workloads.course_sigma()))
-        assert main(["analyze", str(path),
-                     "--strategy", "worklist"]) == 0
-        worklist_out = capsys.readouterr().out
-        assert main(["analyze", str(path),
-                     "--strategy", "dense"]) == 0
-        dense_out = capsys.readouterr().out
-        assert dense_out == worklist_out
-
-    def test_library_strategy_kwarg(self):
-        from repro.analysis import analyze_constraints
-
-        schema, sigma = _enroll()
-        dense = analyze_constraints(schema, sigma, strategy="dense")
-        worklist = analyze_constraints(schema, sigma,
-                                       strategy="worklist")
-        assert dense.to_text() == worklist.to_text()
+        assert main(["analyze", str(path)]) == 0
+        default = capsys.readouterr().out
+        for name in ("worklist", "naive", "dense"):
+            assert main(["analyze", str(path), "--strategy", name]) == 0
+            assert capsys.readouterr().out == default, name

@@ -8,7 +8,7 @@ from repro.errors import InstanceError
 from repro.generators import random_instance, random_schema, random_sigma
 from repro.generators import workloads
 from repro.incremental import IncrementalChecker
-from repro.nfd import parse_nfd, parse_nfds, satisfies_all_fast
+from repro.nfd import parse_nfd, parse_nfds, satisfies_all
 from repro.types import parse_schema
 
 
@@ -147,7 +147,7 @@ class TestAgreementWithBatchChecker:
                     if row not in present:
                         present.append(row)
                     checker.insert(relation, row)
-                batch = satisfies_all_fast(checker.to_instance(), sigma)
+                batch = satisfies_all(checker.to_instance(), sigma)
                 assert checker.is_consistent() == batch, \
                     (sigma, present, checker.conflicts())
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import InferenceError
 from repro.generators import workloads
-from repro.inference import ClosureEngine
+from repro.inference import ClosureEngine, NaiveClosure
 from repro.nfd import parse_nfd, parse_nfds
 from repro.paths import parse_path
 from repro.types import parse_schema
@@ -172,14 +172,9 @@ class TestBaseValidation:
 
 
 class TestStrategies:
-    def test_unknown_strategy_rejected(self, course_schema, course_sigma):
-        with pytest.raises(InferenceError, match="strategy"):
-            ClosureEngine(course_schema, course_sigma, strategy="magic")
-
     def test_naive_reference_agrees(self, course_schema, course_sigma):
         fast = ClosureEngine(course_schema, course_sigma)
-        slow = ClosureEngine(course_schema, course_sigma,
-                             strategy="naive")
+        slow = NaiveClosure(course_schema, course_sigma)
         for text in ["Course:[students:sid, time -> books]",
                      "Course:[students:sid -> books]",
                      "Course:students:[sid -> grade]"]:
@@ -193,7 +188,6 @@ class TestEngineStats:
         assert engine.stats.attempts == 0
         engine.implies(parse_nfd("Course:[students:sid, time -> books]"))
         stats = engine.stats
-        assert stats.strategy == "worklist"
         assert stats.attempts > 0
         assert 0 < stats.successes <= stats.attempts
         assert stats.saturations >= 1
@@ -214,7 +208,7 @@ class TestEngineStats:
     def test_snapshot_is_plain_data(self, course_engine):
         course_engine.implies(parse_nfd("Course:[cnum -> time]"))
         payload = course_engine.stats.as_dict()
-        assert payload["strategy"] == "worklist"
+        assert "strategy" not in payload
         assert set(payload) >= {"attempts", "successes", "rounds",
                                 "usables", "queries", "derived"}
         text = course_engine.stats.to_text()
@@ -271,10 +265,12 @@ class TestGatedPrefixCoverage:
 
     def test_prefix_covered_member_fires(self, gated_setup):
         schema, sigma, spec = gated_setup
-        for strategy in ("worklist", "naive", "dense"):
-            engine = ClosureEngine(schema, sigma, nonempty=spec,
-                                   strategy=strategy)
-            assert engine.implies(parse_nfd("R:[A:B -> E]")), strategy
+        target = parse_nfd("R:[A:B -> E]")
+        engine = ClosureEngine(schema, sigma, nonempty=spec)
+        assert engine.implies(target)
+        assert NaiveClosure(schema, sigma, nonempty=spec).implies(target)
+        # the proof path reaches the same derivation
+        assert "E by transitivity" in engine.explain(target).to_text()
 
     def test_blocked_without_declaration(self, gated_setup):
         from repro.inference import NonEmptySpec
@@ -287,12 +283,11 @@ class TestGatedPrefixCoverage:
 
 
 class TestDenseStrategy:
-    """The interned-bitmask kernel behind ``strategy="dense"``."""
+    """The interned-bitmask kernel that answers every query."""
 
     def test_agrees_with_worklist(self, course_schema, course_sigma):
-        dense = ClosureEngine(course_schema, course_sigma,
-                              strategy="dense")
-        worklist = ClosureEngine(course_schema, course_sigma)
+        dense = ClosureEngine(course_schema, course_sigma)
+        worklist = NaiveClosure(course_schema, course_sigma)
         for text in ["Course:[students:sid, time -> books]",
                      "Course:[students:sid -> books]",
                      "Course:students:[sid -> grade]",
@@ -305,10 +300,9 @@ class TestDenseStrategy:
         base = parse_path("Course")
         queries = [(base, _paths("cnum")), (base, _paths("time")),
                    (base, _paths("cnum", "time")), (base, frozenset())]
-        batch = ClosureEngine(course_schema, course_sigma,
-                              strategy="dense").closure_many(queries)
-        fresh = ClosureEngine(course_schema, course_sigma,
-                              strategy="dense")
+        batch = ClosureEngine(course_schema,
+                              course_sigma).closure_many(queries)
+        fresh = ClosureEngine(course_schema, course_sigma)
         assert batch == [fresh.closure(b, lhs) for b, lhs in queries]
 
     def test_covers_many_matches_membership(self, course_schema,
@@ -316,8 +310,7 @@ class TestDenseStrategy:
         base = parse_path("Course")
         candidates = [_paths("cnum"), _paths("time"), _paths("books")]
         targets = _paths("time", "books")
-        engine = ClosureEngine(course_schema, course_sigma,
-                               strategy="dense")
+        engine = ClosureEngine(course_schema, course_sigma)
         verdicts = engine.covers_many(base, candidates, targets)
         fresh = ClosureEngine(course_schema, course_sigma)
         assert verdicts == [targets <= fresh.closure(base, c)
@@ -325,26 +318,29 @@ class TestDenseStrategy:
 
     def test_covers_many_rejects_bad_paths(self, course_schema,
                                            course_sigma):
-        engine = ClosureEngine(course_schema, course_sigma,
-                               strategy="dense")
+        engine = ClosureEngine(course_schema, course_sigma)
         with pytest.raises(InferenceError, match="not well-typed"):
             engine.covers_many(parse_path("Course"),
                                [_paths("nope")], _paths("time"))
 
     def test_explain_requires_provenance(self, course_schema,
                                          course_sigma):
-        engine = ClosureEngine(course_schema, course_sigma,
-                               strategy="dense")
-        with pytest.raises(InferenceError, match="worklist"):
-            engine.explain(parse_nfd("Course:[cnum -> time]"))
+        """explain records the provenance it needs on demand, on an
+        engine that has already answered queries from the kernel."""
+        engine = ClosureEngine(course_schema, course_sigma)
+        nfd = parse_nfd("Course:[students:sid, time -> books]")
+        assert engine.implies(nfd)
+        attempts = engine.stats.attempts
+        text = engine.explain(nfd).to_text()
+        assert text.startswith(f"{nfd} holds:")
+        assert "books by transitivity" in text
+        assert engine.stats.attempts > attempts  # the proof path ran
 
     def test_stats_report_kernel_counters(self, course_schema,
                                           course_sigma):
-        engine = ClosureEngine(course_schema, course_sigma,
-                               strategy="dense")
+        engine = ClosureEngine(course_schema, course_sigma)
         engine.implies(parse_nfd("Course:[students:sid, time -> books]"))
         stats = engine.stats
-        assert stats.strategy == "dense"
         assert stats.mask_tests > 0
         assert stats.interned["Course"] > 0
         payload = stats.as_metrics()
@@ -355,19 +351,8 @@ class TestDenseStrategy:
         assert "mask tests" in text
         assert "interned ids" in text
 
-    def test_diff_mismatch_names_snapshot_misuse(self, course_schema,
-                                                 course_sigma):
-        dense = ClosureEngine(course_schema, course_sigma,
-                              strategy="dense").stats
-        worklist = ClosureEngine(course_schema, course_sigma).stats
-        with pytest.raises(InferenceError,
-                           match=r"snapshot\(\) calls taken from the "
-                                 r"\*same\* engine"):
-            dense.diff(worklist)
-
     def test_batch_seeding_counts(self, course_schema, course_sigma):
-        engine = ClosureEngine(course_schema, course_sigma,
-                               strategy="dense")
+        engine = ClosureEngine(course_schema, course_sigma)
         base = parse_path("Course")
         engine.closure_many([(base, _paths("cnum")),
                              (base, _paths("cnum", "time"))])

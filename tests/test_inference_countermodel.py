@@ -9,7 +9,7 @@ from repro.inference import (
     build_countermodel,
     find_countermodel,
 )
-from repro.nfd import NFD, parse_nfd, satisfies_all_fast, satisfies_fast
+from repro.nfd import NFD, parse_nfd, satisfies, satisfies_all
 from repro.paths import parse_path, relation_paths
 from repro.types import parse_schema
 from repro.values import check_instance, has_empty_sets, iter_base_sets
@@ -42,7 +42,7 @@ class TestExampleA1:
     def test_satisfies_sigma(self, a1_engine):
         instance = build_countermodel(a1_engine, parse_path("R"),
                                       {parse_path("B")})
-        assert satisfies_all_fast(instance, a1_engine.sigma)
+        assert satisfies_all(instance, a1_engine.sigma)
 
     def test_separates_exactly_the_closure(self, a1_engine):
         instance = build_countermodel(a1_engine, parse_path("R"),
@@ -50,7 +50,7 @@ class TestExampleA1:
         closed = a1_engine.closure(parse_path("R"), {parse_path("B")})
         for q in relation_paths(a1_engine.schema, "R"):
             nfd = NFD(parse_path("R"), {parse_path("B")}, q)
-            assert satisfies_fast(instance, nfd) == (q in closed), q
+            assert satisfies(instance, nfd) == (q in closed), q
 
     def test_paper_shapes(self, a1_engine):
         """Structural facts visible in the paper's table."""
@@ -76,11 +76,11 @@ class TestExampleA2:
         instance = build_countermodel(a2_engine, parse_path("R"),
                                       {parse_path("A:B:C")})
         check_instance(instance)
-        assert satisfies_all_fast(instance, a2_engine.sigma)
+        assert satisfies_all(instance, a2_engine.sigma)
         closed = a2_engine.closure(parse_path("R"), {parse_path("A:B:C")})
         for q in relation_paths(a2_engine.schema, "R"):
             nfd = NFD(parse_path("R"), {parse_path("A:B:C")}, q)
-            assert satisfies_fast(instance, nfd) == (q in closed), q
+            assert satisfies(instance, nfd) == (q in closed), q
 
 
 class TestNestedBase:
@@ -96,8 +96,8 @@ class TestNestedBase:
         assert len(base_sets) == 1
         assert len(base_sets[0]) == 2
         # and it separates: E does not determine B
-        assert satisfies_all_fast(instance, engine.sigma)
-        assert not satisfies_fast(instance, parse_nfd("R:A:[E -> B]"))
+        assert satisfies_all(instance, engine.sigma)
+        assert not satisfies(instance, parse_nfd("R:A:[E -> B]"))
 
 
 class TestFindCountermodel:
@@ -109,8 +109,8 @@ class TestFindCountermodel:
         nfd = parse_nfd("Course:[time -> cnum]")
         witness = find_countermodel(course_engine, nfd)
         assert witness is not None
-        assert satisfies_all_fast(witness, course_engine.sigma)
-        assert not satisfies_fast(witness, nfd)
+        assert satisfies_all(witness, course_engine.sigma)
+        assert not satisfies(witness, nfd)
 
 
 class TestBoolRejection:

@@ -71,3 +71,49 @@ class TestExplain:
     def test_str_matches_to_text(self, engine_3_1):
         explanation = engine_3_1.explain(NFD.parse("R:A:[B -> E]"))
         assert str(explanation) == explanation.to_text()
+
+
+class TestProofsOnAServingEngine:
+    """``explain`` and ``compile_proof`` pick the proof recorder by
+    themselves: an engine that has already answered kernel queries —
+    single closures, batches, mask-only key verdicts — justifies any
+    implied NFD on request, and answers the same afterwards."""
+
+    @pytest.mark.parametrize("gated", [False, True])
+    def test_explain_and_prove_after_kernel_queries(self, gated):
+        from repro.inference import NonEmptySpec, compile_proof
+        from repro.paths import Path, relation_paths, set_paths
+
+        rng = random.Random(71 if gated else 70)
+        proved = 0
+        for _ in range(25):
+            schema = random_schema(rng, relations=1, max_fields=3,
+                                   max_depth=2, set_probability=0.5)
+            sigma = random_sigma(rng, schema, count=rng.randint(1, 4))
+            relation = schema.relation_names[0]
+            spec = None
+            if gated:  # a partial declaration: some gates stay shut
+                spec = NonEmptySpec(
+                    {Path((relation,))} |
+                    {Path((relation,)).concat(p)
+                     for p in set_paths(schema, relation)
+                     if rng.random() < 0.5})
+            engine = ClosureEngine(schema, sigma, nonempty=spec)
+            base = Path((relation,))
+            paths = relation_paths(schema, relation)
+            singles = [frozenset([p]) for p in paths]
+            engine.closure_many([(base, lhs) for lhs in singles])
+            engine.covers_many(base, singles, paths[:1])
+            before = [engine.closure(base, lhs) for lhs in singles]
+            for _ in range(4):
+                candidate = random_nfd(rng, schema, max_lhs=2)
+                if not engine.implies(candidate):
+                    continue
+                assert str(candidate) in engine.explain(candidate) \
+                    .to_text()
+                proof = compile_proof(engine, candidate)
+                assert proof.conclusion() == candidate
+                proved += 1
+            assert [engine.closure(base, lhs) for lhs in singles] == \
+                before
+        assert proved > 5

@@ -120,7 +120,7 @@ class TestMemo:
         session.closure_simple("Course", _paths("books:title"))
         assert session.stats.evictions == 1
         assert _paths("time") not in \
-            session.engine._queries["Course"]
+            session.engine._dense_states["Course"].acc
 
     def test_max_memo_must_be_positive(self, course):
         schema, sigma = course
@@ -144,7 +144,7 @@ class TestMemo:
         session.implies(parse_nfd("Course:[cnum -> time]"))
         text = session.stats.to_text()
         assert text.startswith("session stats (fingerprint ")
-        assert "engine stats (worklist strategy):" in text
+        assert "engine stats:" in text
 
 
 class TestCopyOnWriteProbes:
@@ -205,42 +205,30 @@ class TestForgetQuery:
 
 
 class TestStrategyAndBatches:
-    def test_strategy_is_forwarded(self, course):
-        schema, sigma = course
-        assert ImplicationSession(schema, sigma).strategy == "worklist"
-        dense = ImplicationSession(schema, sigma, strategy="dense")
-        assert dense.strategy == "dense"
-        assert dense.engine.strategy == "dense"
-
     def test_closure_batch_matches_mapped_closure(self, course):
         schema, sigma = course
         base = parse_path("Course")
         queries = [(base, _paths("cnum")),
                    (base, _paths("cnum", "time")),
                    (base, _paths("books"))]
-        for strategy in ("worklist", "dense"):
-            batch = ImplicationSession(schema, sigma,
-                                       strategy=strategy) \
-                .closure_batch(queries)
-            fresh = ImplicationSession(schema, sigma, strategy=strategy)
-            assert batch == [fresh.closure(b, lhs) for b, lhs in queries]
+        batch = ImplicationSession(schema, sigma).closure_batch(queries)
+        fresh = ImplicationSession(schema, sigma)
+        assert batch == [fresh.closure(b, lhs) for b, lhs in queries]
 
     def test_covers_batch_matches_membership(self, course):
         schema, sigma = course
         base = parse_path("Course")
         candidates = [_paths("cnum"), _paths("time")]
         targets = _paths("time", "books")
-        for strategy in ("worklist", "dense"):
-            session = ImplicationSession(schema, sigma,
-                                         strategy=strategy)
-            fresh = ImplicationSession(schema, sigma, strategy=strategy)
-            assert session.covers_batch(base, candidates, targets) == [
-                targets <= fresh.closure(base, c) for c in candidates
-            ]
+        session = ImplicationSession(schema, sigma)
+        fresh = ImplicationSession(schema, sigma)
+        assert session.covers_batch(base, candidates, targets) == [
+            targets <= fresh.closure(base, c) for c in candidates
+        ]
 
     def test_implies_all_matches_per_member(self, course):
         schema, sigma = course
-        session = ImplicationSession(schema, sigma, strategy="dense")
+        session = ImplicationSession(schema, sigma)
         assert session.implies_all(sigma)
         bogus = parse_nfd("Course:[time -> cnum]")
         assert session.implies_all(list(sigma) + [bogus]) == \

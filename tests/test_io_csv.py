@@ -6,7 +6,7 @@ from repro.design import NestPlan
 from repro.errors import ParseError
 from repro.inference import FD
 from repro.io.csv_io import dump_csv, load_csv
-from repro.nfd import satisfies_all_fast
+from repro.nfd import satisfies_all
 from repro.values import check_instance
 
 CSV_TEXT = """cnum,time,sid,grade
@@ -89,4 +89,4 @@ class TestCSVToNestedPipeline:
         report = plan.report(
             flat.schema.relation_type("Enrollment"),
             [FD({"cnum"}, "time")])
-        assert satisfies_all_fast(nested, report.all_nfds())
+        assert satisfies_all(nested, report.all_nfds())

@@ -129,7 +129,7 @@ class TestEnginePool:
             pool = EnginePool(max_entries=1)
             schema, sigma, spec = _parsed_universe()
             entry = pool.entry_for(schema, sigma, spec)
-            session = await pool.session_for(entry, "worklist")
+            session = await pool.session_for(entry)
             session.closure_simple("Course", frozenset())
             before = pool.engine_totals()
             assert before["closure_queries"] == 1
@@ -151,9 +151,9 @@ class TestEnginePool:
             schema, sigma, spec = _parsed_universe()
             entry = pool.entry_for(schema, sigma, spec)
             sessions = await asyncio.gather(
-                pool.session_for(entry, "worklist"),
-                pool.session_for(entry, "worklist"),
-                pool.session_for(entry, "worklist"))
+                pool.session_for(entry),
+                pool.session_for(entry),
+                pool.session_for(entry))
             assert sessions[0] is sessions[1] is sessions[2]
             assert pool.stats.session_builds == 1
             assert pool.stats.coalesced_builds == 2
@@ -168,8 +168,8 @@ class TestEnginePool:
             pool = EnginePool(max_entries=4)
             schema, sigma, spec = _parsed_universe()
             entry = pool.entry_for(schema, sigma, spec)
-            batcher = await pool.batcher_for(entry, "worklist")
-            assert (await pool.batcher_for(entry, "worklist")) \
+            batcher = await pool.batcher_for(entry)
+            assert (await pool.batcher_for(entry)) \
                 is batcher
             from repro.paths import Path
             base = Path(("Course",))
@@ -266,18 +266,36 @@ class TestServerLifecycle:
                 assert time.monotonic() - started < 2.0
 
     def test_strategies_shared_per_entry(self):
-        """One entry serves both strategies; answers agree."""
+        """Protocol v1 compatibility: every legacy ``strategy`` name is
+        accepted, answered by the entry's one session, and gets the
+        byte-identical reply the field-less request gets."""
         bundle = _bundle_dict()
-        nfd = "Course:[students:sid, time -> books]"
+        requests = [
+            ("implies", {"nfd": "Course:[students:sid, time -> books]"}),
+            ("closure", {"base": "Course", "paths": ["cnum"]}),
+            ("keys", {"relation": "Course"}),
+        ]
         with BackgroundServer(ServerConfig()) as bg:
             with ReproClient(bg.host, bg.port,
                              timeout=TIMEOUT) as client:
-                for strategy in ("worklist", "dense", "naive"):
-                    assert client.implies(bundle, nfd,
-                                          strategy=strategy) is True
+                hello = client.hello()
+                assert hello["strategies"] == ["worklist", "naive",
+                                               "dense"]
+                def reply(frame: dict) -> bytes:
+                    client.send_raw(encode(frame))
+                    return encode(client.read_response())
+
+                for kind, params in requests:
+                    frame = {"id": kind, "type": kind, "bundle": bundle,
+                             **params}
+                    default = reply(frame)
+                    assert json.loads(default)["ok"] is True
+                    for name in hello["strategies"]:
+                        assert reply({**frame, "strategy": name}) == \
+                            default, (kind, name)
                 pool = client.stats()["pool"]
         assert pool["entries"] == 1
-        assert pool["session_builds"] == 3
+        assert pool["session_builds"] == 1
 
 
 # --------------------------------------------------------------- the CLI

@@ -9,6 +9,8 @@ cache directory, and the worker warm-up path's error chaining.
 """
 
 import os
+import sqlite3
+import threading
 import warnings
 
 import pytest
@@ -89,6 +91,74 @@ class TestStoreLifecycle:
         with CacheStore(cache_dir) as store:
             assert store.stats.stale == 1
             assert store.summary()["plans"] == 0
+
+    def test_concurrent_fresh_open_keeps_written_rows(self, cache_dir,
+                                                      monkeypatch):
+        """Two connections open one fresh directory, interleaved at the
+        worst moment: the second checks the version stamps while the
+        first is creating the tables, and only acts on what it saw
+        after the first has opened and written a row.  Creating and
+        stamping in one transaction means the second never sees
+        unstamped tables, so it never drops the row as stale."""
+        created, checked, wrote = (threading.Event() for _ in range(3))
+        # thread name -> (statement text to wait for, what to do after)
+        hooks = {
+            "first": ("CREATE TABLE IF NOT EXISTS meta",
+                      lambda: (created.set(), checked.wait(10))),
+            "second": ("FROM meta WHERE key",
+                       lambda: (checked.set(), wrote.wait(10))),
+        }
+
+        class Hooked(sqlite3.Connection):
+            def _after(self, sql):
+                name = threading.current_thread().name
+                if name in hooks and hooks[name][0] in sql:
+                    hooks.pop(name)[1]()
+
+            def execute(self, sql, *params):
+                try:
+                    return super().execute(sql, *params)
+                finally:
+                    self._after(sql)
+
+            def executescript(self, script):
+                try:
+                    return super().executescript(script)
+                finally:
+                    self._after(script)
+
+        connect = sqlite3.connect
+        monkeypatch.setattr(
+            sqlite3, "connect",
+            lambda *args, **kwargs: connect(*args, factory=Hooked,
+                                            **kwargs))
+        stores = {}
+
+        def open_store_as(name):
+            stores[name] = CacheStore(cache_dir)
+
+        first = threading.Thread(target=open_store_as, args=("first",),
+                                 name="first")
+        second = threading.Thread(target=open_store_as,
+                                  args=("second",), name="second")
+        first.start()
+        assert created.wait(10)
+        second.start()
+        assert checked.wait(10)
+        first.join(10)
+        lhs = frozenset({parse_path("k0")})
+        closure = frozenset({parse_path("k0"), parse_path("z")})
+        stores["first"].put_closure("fp", "R", lhs, closure)
+        wrote.set()
+        second.join(10)
+        try:
+            assert not hooks, "an interleaving point was never reached"
+            assert stores["second"].stats.stale == 0
+            for store in stores.values():
+                assert store.get_closure("fp", "R", lhs) == closure
+        finally:
+            for store in stores.values():
+                store.close()
 
     def test_corrupt_db_degrades_with_a_warning(self, cache_dir,
                                                 schema, sigma):
@@ -209,7 +279,7 @@ class TestDenseTablesTable:
         from repro.inference.closure import ClosureEngine
 
         fp = sigma_fingerprint(schema, tuple(sigma))
-        engine = ClosureEngine(schema, sigma, strategy="dense")
+        engine = ClosureEngine(schema, sigma)
         tables = engine._pool.dense("Course")
         payload = (tuple(str(nfd) for nfd in sigma), tables)
         with CacheStore(cache_dir) as store:
@@ -232,13 +302,11 @@ class TestDenseTablesTable:
         base = parse_path("Course")
         lhs = {parse_path("cnum")}
         with CacheStore(cache_dir) as store:
-            cold = ImplicationSession(schema, sigma, store=store,
-                                      strategy="dense")
+            cold = ImplicationSession(schema, sigma, store=store)
             cold_closure = cold.closure(base, lhs)
             assert store.summary()["dense_tables"] >= 1
         with CacheStore(cache_dir) as store:
-            warm = ImplicationSession(schema, sigma, store=store,
-                                      strategy="dense")
+            warm = ImplicationSession(schema, sigma, store=store)
             # the tables were adopted, not recompiled
             assert store.stats.dense_hits >= 1
             assert warm.engine._pool.has_dense("Course")
@@ -249,13 +317,11 @@ class TestDenseTablesTable:
         sigma = tuple(sigma)
         reordered = tuple(reversed(sigma))
         with CacheStore(cache_dir) as store:
-            ImplicationSession(schema, sigma, store=store,
-                               strategy="dense")
+            ImplicationSession(schema, sigma, store=store)
         with CacheStore(cache_dir) as store:
             # same fingerprint, but dense rows are indexed by Σ member
             # position — the payload must be recompiled, not adopted
-            session = ImplicationSession(schema, reordered, store=store,
-                                         strategy="dense")
+            session = ImplicationSession(schema, reordered, store=store)
             assert store.stats.stale >= 1
             assert session.implies(sigma[0])
 

@@ -10,7 +10,7 @@ from repro.generators import (
     random_sigma,
     workloads,
 )
-from repro.nfd import parse_nfd, parse_nfds, satisfies_all_fast
+from repro.nfd import parse_nfd, parse_nfds, satisfies_all
 from repro.types import parse_schema
 from repro.values import Instance, check_value
 from repro.views import (
@@ -190,7 +190,7 @@ class TestJoin:
             "View:[skills:skill -> skills:level]") in carried
         target = view_schema(expr, schema)
         view = Instance(target, {"View": evaluate(expr, instance)})
-        assert satisfies_all_fast(view, carried)
+        assert satisfies_all(view, carried)
 
     def test_join_composes_with_nest(self, dept_emp):
         schema, instance, sigma = dept_emp
@@ -199,7 +199,7 @@ class TestJoin:
         carried = propagate_nfds(expr, schema, sigma)
         target = view_schema(expr, schema)
         view = Instance(target, {"View": evaluate(expr, instance)})
-        assert satisfies_all_fast(view, carried)
+        assert satisfies_all(view, carried)
 
     def test_no_shared_attributes_rejected(self, dept_emp):
         schema, _, _ = dept_emp
@@ -227,7 +227,7 @@ class TestPropagationSoundness:
         view_instance = Instance(target_schema, {
             "View": evaluate(expr, instance)
         })
-        assert satisfies_all_fast(view_instance, carried), \
+        assert satisfies_all(view_instance, carried), \
             (expr, carried)
 
     def test_course_views(self):
