@@ -662,37 +662,31 @@ class _ProofRecorder:
                         dirty.setdefault(key, set()).add(usable.rhs)
 
 
-def _active_rows(rows) -> list:
-    """Table rows in the kernel's active form: each row's default mask
-    list is paired with its RHS bit once, so every query whose key does
-    not touch the row shares that one ``(rhs_bit, masks)`` tuple."""
-    return [(rhs_bit, members, union,
-             None if default is None else (rhs_bit, default))
-            for rhs_bit, members, union, default in rows]
-
-
 class _DenseState:
     """One relation's dense saturation state for one engine.
 
-    ``rows`` is the append-only active rule list (see
-    :func:`_active_rows`): the shared tables' rows for this engine's
-    active members, the overlay members compiled
+    ``rows`` is the append-only active rule list: the shared tables'
+    rows for this engine's active members, the overlay members compiled
     at state creation, then rows appended as singleton candidates
     activate (``pending`` holds the candidates not yet activated).
-    Each query carries its own *specialized* row list (``qrows``):
-    members already covered by the query key are dropped and
-    ``keyonly`` masks are resolved against the key up front, so the hot
-    loop tests nothing but ``acc & mask``.  ``qmark`` is the per-query
-    watermark into ``rows`` (rows appended later are specialized on the
-    query's next fixpoint).
+    ``plain`` holds every row's default ``(rhs_bit, uncond masks)``
+    form, which is a valid step for any query key, and every query
+    scans it.  On top, each query carries its own *specialized* rows
+    (``qrows``) for the rows its key touches: members already covered
+    by the key are dropped and ``keyonly`` masks are resolved against
+    it up front, so the hot loop tests nothing but ``acc & mask``.
+    ``qmark`` is the per-query watermark into ``rows`` (rows appended
+    later are specialized on the query's next fixpoint).
     """
 
-    __slots__ = ("tables", "rows", "acc", "keymask", "qrows", "qmark",
-                 "cache", "pending", "unsaturated")
+    __slots__ = ("tables", "rows", "plain", "acc", "keymask", "qrows",
+                 "qmark", "cache", "pending", "unsaturated")
 
     def __init__(self, tables: DenseTables, rows: list):
         self.tables = tables
-        self.rows = rows
+        self.rows: list = []
+        self.plain: list = []
+        self.add_rows(rows)
         self.pending = list(range(len(tables.candidates)))
         self.acc: dict[frozenset[Path], int] = {}
         self.keymask: dict[frozenset[Path], int] = {}
@@ -703,6 +697,12 @@ class _DenseState:
         self.cache: dict[frozenset[Path], tuple[int, frozenset[Path]]] \
             = {}
         self.unsaturated: list[frozenset[Path]] = []
+
+    def add_rows(self, rows) -> None:
+        self.rows.extend(rows)
+        self.plain.extend((rhs_bit, default)
+                          for rhs_bit, _, _, default in rows
+                          if default is not None)
 
 
 class ClosureEngine:
@@ -977,7 +977,7 @@ class ClosureEngine:
                 rows.append(compile_row(tables.ids, relation,
                                         usable.lhs, usable.rhs,
                                         self.nonempty))
-            state = _DenseState(tables, _active_rows(rows))
+            state = _DenseState(tables, rows)
             self._dense_states[relation] = state
             # the singleton premise queries drive candidate activation
             for candidate in self._pool.candidates[relation]:
@@ -986,19 +986,25 @@ class ClosureEngine:
                                       candidate.premise_lhs)
         return state
 
-    def _dense_query(self, state: _DenseState, relation: str,
-                     key: frozenset[Path], seed: int | None = None) \
-            -> None:
-        """Create a dense query: intern the key, OR in the seed mask."""
+    @staticmethod
+    def _interned(state: _DenseState, relation: str, paths) -> int:
+        """The mask of *paths* in the relation's interned universe."""
         ids = state.tables.ids
-        keymask = 0
-        for path in key:
+        mask = 0
+        for path in paths:
             bit = ids.get(path)
             if bit is None:
                 raise InferenceError(
                     f"path {path} is not well-typed in relation "
                     f"{relation!r}")
-            keymask |= 1 << bit
+            mask |= 1 << bit
+        return mask
+
+    def _dense_query(self, state: _DenseState, relation: str,
+                     key: frozenset[Path], seed: int | None = None) \
+            -> None:
+        """Create a dense query: intern the key, OR in the seed mask."""
+        keymask = self._interned(state, relation, key)
         accmask = keymask
         if seed is not None:
             self._dense_seeds += 1
@@ -1034,7 +1040,7 @@ class ClosureEngine:
                         state.tables.candidates[index]
                     if acc.get(premise_key, 0) & target_mask \
                             == target_mask:
-                        state.rows.extend(_active_rows(rows))
+                        state.add_rows(rows)
                     else:
                         still.append(index)
                 if len(still) < len(state.pending):
@@ -1052,14 +1058,13 @@ class ClosureEngine:
         qrows = state.qrows[key]
         mark = state.qmark[key]
         if mark < len(active):
-            # specialize rows appended since the last visit: members
-            # covered by the key drop out, keyonly masks resolve now;
-            # rows the key doesn't touch reuse the shared default list
+            # specialize the rows appended since the last visit that the
+            # key touches: members covered by the key drop out, keyonly
+            # masks resolve now (every query also scans the shared
+            # default rows, valid for any key)
             keymask = state.keymask[key]
-            for rhs_bit, members, union, plain in active[mark:]:
+            for rhs_bit, members, union, _ in active[mark:]:
                 if not keymask & union:
-                    if plain is not None:
-                        qrows.append(plain)
                     continue
                 masks = []
                 dead = False
@@ -1079,7 +1084,10 @@ class ClosureEngine:
         scans = 0
         # work on the rows not yet fired for this query; each pass
         # drops the rows that fired, so late passes scan only the tail
+        # (specialized rows first: a default row whose specialized twin
+        # fired earlier in the pass is then skipped with one test)
         pending = [row for row in qrows if not acc & row[0]]
+        pending += [row for row in state.plain if not acc & row[0]]
         progress = True
         while progress and pending:
             progress = False
@@ -1147,11 +1155,10 @@ class ClosureEngine:
         key = frozenset(lhs)
         state = self._dense_state(relation)
         if key not in state.acc:
-            ids = state.tables.ids
-            seed_mask = None
-            for path in seed:
-                seed_mask = (seed_mask or 0) | 1 << ids[path]
-            self._dense_query(state, relation, key, seed_mask)
+            seed = frozenset(seed)
+            self._dense_query(state, relation, key,
+                              self._interned(state, relation, seed)
+                              if seed else None)
         self._saturate(relation, lambda: self._drain_dense(state))
         return self._dense_result(state, key)
 
@@ -1341,15 +1348,7 @@ class ClosureEngine:
         time (smallest first) with drop-one mask seeding, then answer
         every verdict with one ``acc & target == target`` test."""
         state = self._dense_state(relation)
-        ids = state.tables.ids
-        target_mask = 0
-        for path in targets:
-            bit = ids.get(path)
-            if bit is None:
-                raise InferenceError(
-                    f"path {path} is not well-typed in relation "
-                    f"{relation!r}")
-            target_mask |= 1 << bit
+        target_mask = self._interned(state, relation, targets)
         acc = state.acc
         drain = lambda: self._drain_dense(state)  # noqa: E731
         size = None

@@ -443,12 +443,12 @@ class ReproServer:
         legacy closure strategies.  Every name is answered by the same
         kernel, so a known name is ignored; an unknown one is still an
         ``invalid_query``."""
-        strategy = request.get("strategy", "dense")
-        if strategy not in STRATEGIES:
+        if "strategy" in request and \
+                request["strategy"] not in STRATEGIES:
             raise ProtocolError(
                 "invalid_query",
-                f"unknown strategy {strategy!r}; expected one of "
-                f"{', '.join(STRATEGIES)}")
+                f"unknown strategy {request['strategy']!r}; expected "
+                f"one of {', '.join(STRATEGIES)}")
 
     @staticmethod
     def _effective_deadline(request: dict,
